@@ -160,7 +160,6 @@ let method_arg =
     [
       ("arena", `Exact Analytical.Arena);
       ("streaming", `Exact Analytical.Streaming);
-      ("dfs", `Exact Analytical.Dfs);
       ("bcat", `Exact Analytical.Bcat_walk);
       ("approx", `Approx);
     ]
@@ -172,9 +171,9 @@ let method_arg =
         ~doc:
           "Analysis method. Exact histogram kernels: $(b,arena) (fused single pass over \
            off-heap flat arenas, GC-invisible state, the default), $(b,streaming) (the same \
-           kernel on boxed arrays), $(b,dfs) (materialized MRCT), or $(b,bcat) (Algorithms \
-           1+3 as published) — all exact methods produce identical results. $(b,approx) \
-           estimates miss counts with error bars from a one-pass O(kilobytes) sketch \
+           kernel, sequential, on boxed arrays), or $(b,bcat) (Algorithms 1+3 as published, \
+           over the materialized MRCT) — all exact methods produce identical results. \
+           $(b,approx) estimates miss counts with error bars from a one-pass O(kilobytes) sketch \
            (equivalent to $(b,--approx)).")
 
 let approx_arg =
@@ -188,9 +187,11 @@ let approx_arg =
 
 let domains_arg =
   let doc =
-    "Number of parallel domains for the postlude. With $(b,--method arena) or $(b,--method \
-     streaming) the trace is sharded into windows (arena shards share one read-only strip); \
-     with $(b,--method dfs) the MRCT is partitioned by identifier."
+    Printf.sprintf
+      "Number of parallel domains for the arena kernel: the trace is sharded into windows \
+       that share one read-only strip (traces shorter than %d references per domain run \
+       sequentially). Ignored by $(b,--method streaming) and $(b,--method bcat)."
+      Arena_kernel.min_shard_refs
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 

@@ -1,9 +1,9 @@
-type method_ = Bcat_walk | Dfs | Streaming | Arena
+type method_ = Bcat_walk | Streaming | Arena
 
 (* The arena strip is the strict, primary representation: prepare builds
    it directly from the trace with no boxed intermediates. The boxed
-   Strip.t is a lazy view forced only by the methods that materialize
-   (Dfs, Bcat_walk), by the boxed Streaming kernel, or by callers that
+   Strip.t is a lazy view forced only by the BCAT walk, by the boxed
+   Streaming kernel, or by callers that
    need explicit arrays; the MRCT forces the boxed view in turn. The
    default Arena path touches neither. *)
 type prepared = {
@@ -51,19 +51,7 @@ let histograms ?(cancel = Cancel.none) ?(method_ = Arena) ?(domains = 1) prepare
   match method_ with
   | Arena ->
     Arena_kernel.histograms ~cancel ~domains prepared.arena ~max_level:prepared.max_level
-  | Streaming ->
-    Streaming.histograms ~cancel ~domains (stripped prepared)
-      ~max_level:prepared.max_level
-  | Dfs ->
-    if domains > 1 then
-      Parallel_optimizer.histograms ~cancel ~domains
-        ~addresses:(stripped prepared).Strip.uniques (mrct prepared)
-        ~max_level:prepared.max_level
-    else begin
-      Cancel.check cancel;
-      Dfs_optimizer.histograms ~addresses:(stripped prepared).Strip.uniques
-        (mrct prepared) ~max_level:prepared.max_level
-    end
+  | Streaming -> Streaming.histograms ~cancel (stripped prepared) ~max_level:prepared.max_level
   | Bcat_walk ->
     let zero_one = Zero_one.build (stripped prepared) in
     let bcat = Bcat.build ~max_level:prepared.max_level zero_one in
@@ -78,7 +66,7 @@ let explore_prepared ?cancel ?(method_ = Arena) ?domains prepared ~k =
     let zero_one = Zero_one.build (stripped prepared) in
     let bcat = Bcat.build ~max_level:prepared.max_level zero_one in
     Optimizer.explore bcat (mrct prepared) ~k
-  | Dfs | Streaming | Arena ->
+  | Streaming | Arena ->
     Optimizer.of_histograms ~k (histograms ?cancel ~method_ ?domains prepared)
 
 let explore_many ?(method_ = Arena) ?domains prepared ~ks =
@@ -102,13 +90,7 @@ let misses ?(method_ = Arena) ?domains prepared ~depth ~associativity =
   let level = level_of_depth depth prepared.max_level in
   match method_ with
   | Arena -> Arena_kernel.misses ?domains prepared.arena ~level ~associativity
-  | Streaming -> Streaming.misses ?domains (stripped prepared) ~level ~associativity
-  | Dfs ->
-    let hists =
-      Dfs_optimizer.histograms ~addresses:(stripped prepared).Strip.uniques
-        (mrct prepared) ~max_level:level
-    in
-    Optimizer.misses_of_histogram hists.(level) ~associativity
+  | Streaming -> Streaming.misses (stripped prepared) ~level ~associativity
   | Bcat_walk ->
     let zero_one = Zero_one.build (stripped prepared) in
     let bcat = Bcat.build ~max_level:level zero_one in

@@ -2,14 +2,13 @@
     (the paper's Figure 2 pipeline: strip -> MRCT/BCAT -> optimal set). *)
 
 type method_ =
-  | Bcat_walk  (** Algorithms 1 + 3 as published *)
-  | Dfs  (** the fused linear-space variant of section 2.4, over a
-             materialized MRCT; with [domains > 1] the MRCT is
-             partitioned by identifier across {!Parallel_optimizer} *)
+  | Bcat_walk
+      (** Algorithms 1 + 3 as published, over the materialized MRCT —
+          the paper reference *)
   | Streaming
-      (** {!Streaming}'s single-pass fused kernel on boxed arrays — no
-          MRCT is ever materialized, peak heap O(N) boxed words; with
-          [domains > 1] the trace is sharded into windows *)
+      (** {!Streaming}'s sequential single-pass fused kernel on boxed
+          arrays — no MRCT is ever materialized, peak heap O(N) boxed
+          words; the arena's independent reference *)
   | Arena
       (** the default: the same fused kernel on off-heap
           {!Arena_kernel} bigarrays — the strip, recency list, and
@@ -71,8 +70,8 @@ val stats : prepared -> Stats.t
 (** [histograms ?cancel ?method_ ?domains prepared] is the per-level
     conflict-cardinality histograms, the shared currency of every
     postlude. All methods produce bit-identical arrays (property
-    tested). [domains] (default 1) parallelizes the [Arena],
-    [Streaming] and [Dfs] methods; it is ignored by [Bcat_walk].
+    tested). [domains] (default 1) shards the [Arena] method; it is
+    ignored by [Streaming] and [Bcat_walk].
     [cancel] (default {!Cancel.none}) makes the run cooperatively
     cancellable: the fused kernels poll it every {!Cancel.poll_mask}+1
     references, sharded runs poll at shard boundaries, and the BCAT

@@ -1,9 +1,9 @@
-(* The streaming fused kernel ported onto off-heap arenas.
+(* The fused kernel on off-heap arenas, the production exact kernel.
 
-   Same algorithm as [Streaming] — intrusive recency list, per-window
-   replay prologue, prefix walk folding shared-bit counts straight into
-   per-level histograms — but every hot table is a [Arena] bigarray the
-   GC neither scans nor copies:
+   Same algorithm as [Streaming] — intrusive recency list, prefix walk
+   folding shared-bit counts straight into per-level histograms — plus a
+   per-window replay prologue for sharding, with every hot table an
+   [Arena] bigarray the GC neither scans nor copies:
 
      ids          i32 arena, 4 B/ref   (vs 8 B boxed + GC scan)
      uniques      word arena, 8 B/unique
@@ -169,7 +169,7 @@ let stats s =
     max_misses = s.max_misses;
   }
 
-(* Boxed view for the materializing methods (Dfs, Bcat_walk) and the
+(* Boxed view for the BCAT walk, the boxed Streaming kernel and the
    Table-4 printers. Identical to [Strip.strip] by construction: ids are
    assigned in first-occurrence order in both builders. *)
 let to_strip s =
@@ -186,7 +186,7 @@ let rec ctz_clamped x acc limit =
   else ctz_clamped (x lsr 1) (acc + 1) limit
 
 (* Growable per-level histograms in word arenas; growth and trim match
-   [Streaming]/[Dfs_optimizer] exactly so all paths stay bit-identical.
+   [Streaming] exactly so both kernels stay bit-identical.
    [max_c] is on-heap control state (levels+1 small ints), not data. *)
 type tally = {
   hists : Arena.word array;
@@ -226,8 +226,8 @@ let tally_finish t =
 
 (* Merge shard tallies straight from their arenas into the final boxed
    histograms — no per-shard intermediate arrays. Width per level is the
-   max across shards of (max_c + 1), floored at 1, exactly as
-   [Streaming.merge_histograms] sizes its output. *)
+   max across shards of (max_c + 1), floored at 1, which is the width a
+   sequential run over the whole trace would trim to. *)
 let merge_tallies ~max_level parts =
   Array.init (max_level + 1) (fun level ->
       let width =
@@ -244,8 +244,8 @@ let merge_tallies ~max_level parts =
       merged)
 
 (* One trace window [lo, hi): replay [0, lo) to reconstruct the recency
-   list, then tally. Same structure as [Streaming.window_histograms]
-   with the recency list in two i32 arenas and membership in a packed
+   list, then tally. Same structure as [Streaming.histograms] with the
+   recency list in two i32 arenas and membership in a packed
    bitset; the per-occurrence clear of [depth_count] touches only the
    levels the prefix walk wrote (tracked via [max_touched]) instead of
    an unconditional fill of all levels. *)
@@ -307,11 +307,13 @@ let window_tally ?(cancel = Cancel.none) s ~max_level ~lo ~hi =
   done;
   t
 
-let window_histograms ?cancel s ~max_level ~lo ~hi =
-  tally_finish (window_tally ?cancel s ~max_level ~lo ~hi)
+(* Each shard pays an O(lo) replay prologue, so total replay work is
+   ~domains/2 passes over the trace; below this window size the replay
+   and Domain.spawn overhead outweigh the tally work split. *)
+let min_shard_refs = 65536
 
-let histograms ?(cancel = Cancel.none) ?(domains = 1)
-    ?(shard_threshold = Streaming.min_shard_refs) s ~max_level =
+let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs) s
+    ~max_level =
   let n = s.n in
   let domains = max 1 domains in
   if domains = 1 || n < domains * shard_threshold then

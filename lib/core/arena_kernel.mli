@@ -1,8 +1,10 @@
-(** The streaming fused kernel on off-heap arenas — [--method arena].
+(** The fused kernel on off-heap arenas — [--method arena], the
+    production exact kernel and the only one that shards.
 
-    Same algorithm and bit-identical output as {!Streaming} (property
-    tested), with every hot table moved into {!Arena} bigarrays the GC
-    neither scans, copies, nor counts in [top_heap_words]:
+    Same algorithm and bit-identical output as the sequential boxed
+    {!Streaming} kernel (property tested), with every hot table moved
+    into {!Arena} bigarrays the GC neither scans, copies, nor counts in
+    [top_heap_words]:
 
     - the strip (per-reference ids + unique line addresses) is built
       {e directly from the trace} — the boxed line-address array,
@@ -45,18 +47,29 @@ val address_bits : strip -> int
 val stats : strip -> Stats.t
 
 (** [to_strip s] is the boxed {!Strip.t} view, equal to [Strip.strip] of
-    the source trace — the bridge to the materializing methods (DFS,
-    BCAT walk) and the conflict-table printers. Costs O(N + N') boxed
+    the source trace — the bridge to the BCAT walk, the boxed
+    {!Streaming} kernel and the conflict-table printers. Costs O(N + N') boxed
     words; the arena path never calls it. *)
 val to_strip : strip -> Strip.t
 
 (** [histograms ?cancel ?domains ?shard_threshold s ~max_level] is the
     per-level conflict-cardinality histograms, bit-identical to
-    {!Streaming.histograms} on the boxed view. [domains] shards the
-    trace into windows exactly as the streaming kernel does (replay
-    prologue, {!Shard_exec} fault isolation, {!Streaming.min_shard_refs}
-    fallback threshold); every shard reads the same strip arenas by
-    reference. Raises [Invalid_argument] on a negative [max_level]. *)
+    {!Streaming.histograms} on the boxed view. [domains] (default 1,
+    clamped to at least 1) shards the trace into windows: each shard
+    replays the prefix before its window to rebuild the recency list,
+    then tallies its own window, and the per-level tallies are summed.
+    Warm occurrences partition by position, so the merge is exact.
+    Shards run under {!Shard_exec} fault isolation: a crashed shard is
+    retried once in a fresh domain, then recomputed sequentially. Every
+    shard reads the same strip arenas by reference. [shard_threshold]
+    (default {!min_shard_refs}) is the smallest per-domain window for
+    which sharding is attempted — tests lower it to exercise the sharded
+    path on short traces. [cancel] (default {!Cancel.none}) is polled
+    every {!Cancel.poll_mask}+1 references of both the replay prologue
+    and the tally loop; an expired token raises a typed
+    {!Dse_error.Deadline_exceeded} from whichever shard notices first,
+    and is never retried. Raises [Invalid_argument] on a negative
+    [max_level]. *)
 val histograms :
   ?cancel:Cancel.t ->
   ?domains:int ->
@@ -64,11 +77,6 @@ val histograms :
   strip ->
   max_level:int ->
   int array array
-
-(** [window_histograms ?cancel s ~max_level ~lo ~hi] is one shard's
-    window, exposed for the sharding tests. *)
-val window_histograms :
-  ?cancel:Cancel.t -> strip -> max_level:int -> lo:int -> hi:int -> int array array
 
 (** [explore ?cancel ?domains ?shard_threshold s ~max_level ~k] runs the
     postlude on the arena histograms. *)
@@ -92,3 +100,9 @@ val misses :
   level:int ->
   associativity:int ->
   int
+
+(** [min_shard_refs] is the smallest per-domain window (in trace
+    references) for which sharding is attempted; below it the sequential
+    kernel runs regardless of [domains]. Exposed for the server's heavy
+    job threshold, the tests and the benchmarks. *)
+val min_shard_refs : int

@@ -3,7 +3,7 @@
     A pathological job (huge trace, deep [max_level]) must not pin a
     worker domain forever. A token carries an absolute wall-clock
     deadline in an atomic cell; the kernels poll it at cheap boundaries
-    — every {!poll_mask}+1 references inside the streaming loops, before
+    — every {!poll_mask}+1 references inside the fused kernel loops, before
     every shard attempt in [Shard_exec], and at each level of the BCAT
     walk — and expiry raises a typed
     {!Dse_error.Deadline_exceeded}[ {elapsed; limit}] (CLI exit 7) from

@@ -4,7 +4,7 @@
     domain doing kernel work and the watchdog observing it. The worker
     side stamps it implicitly: attaching a heartbeat to a {!Cancel}
     token ({!Cancel.with_heartbeat}) makes every cancellation poll —
-    every {!Cancel.poll_mask}+1 references in the streaming loops,
+    every {!Cancel.poll_mask}+1 references in the fused kernel loops,
     before each shard attempt, per BCAT-walk level — also refresh the
     timestamp. The watchdog side reads {!age} from another domain and
     declares a worker stalled once the age exceeds the hang timeout:

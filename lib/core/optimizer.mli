@@ -40,7 +40,7 @@ val histogram_at : Bcat.t -> Mrct.t -> level:int -> int array
 val misses_at : Bcat.t -> Mrct.t -> level:int -> associativity:int -> int
 
 (** [of_histograms ~k histograms] assembles a result from per-level
-    histograms (shared with the DFS variant; [histograms.(l)] is the
+    histograms (shared with the fused kernels; [histograms.(l)] is the
     level-[l] histogram). *)
 val of_histograms : k:int -> int array array -> t
 

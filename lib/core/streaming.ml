@@ -9,12 +9,11 @@ let rec ctz_clamped x acc limit =
   else ctz_clamped (x lsr 1) (acc + 1) limit
 
 (* Growable per-level histograms, identical in growth and trimming to
-   Dfs_optimizer so the two paths produce bit-identical arrays. *)
+   Arena_kernel so the two kernels produce bit-identical arrays. *)
 type tally = {
   hists : int array array;
   max_c : int array;
   depth_count : int array;
-  max_level : int;
 }
 
 let tally_create max_level =
@@ -23,7 +22,6 @@ let tally_create max_level =
     hists = Array.init (max_level + 1) (fun _ -> Array.make 1 0);
     max_c = Array.make (max_level + 1) 0;
     depth_count = Array.make (max_level + 1) 0;
-    max_level;
   }
 
 let record t level c =
@@ -42,16 +40,13 @@ let record t level c =
 
 let tally_finish t = Array.mapi (fun l h -> Array.sub h 0 (t.max_c.(l) + 1)) t.hists
 
-(* The fused kernel over one trace window [lo, hi).
-
-   The recency list is the same intrusive prev/next structure as
-   Mrct.build (index n' is the sentinel). Positions [0, lo) are replayed
-   to reconstruct the list state at the window start — O(1) per access.
-   Within the window, a warm occurrence of [u] walks the list prefix
-   above [u] exactly as Mrct.build would to emit the conflict set, but
-   each member is folded into depth_count immediately; the suffix sums
-   then land in the histograms. No conflict set is ever stored. *)
-let window_histograms ?(cancel = Cancel.none) (s : Strip.t) ~max_level ~lo ~hi =
+(* The fused kernel. The recency list is the same intrusive prev/next
+   structure as Mrct.build (index n' is the sentinel). A warm occurrence
+   of [u] walks the list prefix above [u] exactly as Mrct.build would to
+   emit the conflict set, but each member is folded into depth_count
+   immediately; the suffix sums then land in the histograms. No conflict
+   set is ever stored. *)
+let histograms ?(cancel = Cancel.none) (s : Strip.t) ~max_level =
   let t = tally_create max_level in
   let n' = Strip.num_unique s in
   let next = Array.make (n' + 1) n' in
@@ -68,17 +63,9 @@ let window_histograms ?(cancel = Cancel.none) (s : Strip.t) ~max_level ~lo ~hi =
     next.(u) <- first;
     prev.(first) <- u
   in
-  let touch u =
-    if in_list.(u) then unlink u else in_list.(u) <- true;
-    push_front u
-  in
-  for j = 0 to lo - 1 do
-    if j land Cancel.poll_mask = 0 then Cancel.check cancel;
-    touch s.Strip.ids.(j)
-  done;
   let addresses = s.Strip.uniques in
   let depth_count = t.depth_count in
-  for j = lo to hi - 1 do
+  for j = 0 to Strip.num_refs s - 1 do
     if j land Cancel.poll_mask = 0 then Cancel.check cancel;
     let u = s.Strip.ids.(j) in
     if in_list.(u) then begin
@@ -110,56 +97,7 @@ let window_histograms ?(cancel = Cancel.none) (s : Strip.t) ~max_level ~lo ~hi =
   done;
   tally_finish t
 
-let merge_histograms parts =
-  match parts with
-  | [] -> [||]
-  | first :: _ ->
-    let levels = Array.length first in
-    Array.init levels (fun level ->
-        let width =
-          List.fold_left (fun acc part -> max acc (Array.length part.(level))) 1 parts
-        in
-        let merged = Array.make width 0 in
-        List.iter
-          (fun part ->
-            Array.iteri (fun c n -> merged.(c) <- merged.(c) + n) part.(level))
-          parts;
-        merged)
-
-(* Each shard pays an O(lo) replay prologue, so total replay work is
-   ~domains/2 passes over the trace; below this window size the replay
-   and Domain.spawn overhead outweigh the tally work split. *)
-let min_shard_refs = 65536
-
-let histograms ?(cancel = Cancel.none) ?(domains = 1) ?(shard_threshold = min_shard_refs)
-    (s : Strip.t) ~max_level =
-  let n = Strip.num_refs s in
-  let domains = max 1 domains in
-  if domains = 1 || n < domains * shard_threshold then
-    window_histograms ~cancel s ~max_level ~lo:0 ~hi:n
-  else begin
-    let chunk = (n + domains - 1) / domains in
-    match
-      List.init domains (fun d -> (d * chunk, min n ((d + 1) * chunk)))
-      |> List.filter (fun (lo, hi) -> lo < hi)
-      |> Array.of_list
-    with
-    | [||] -> window_histograms ~cancel s ~max_level ~lo:0 ~hi:n
-    | windows ->
-      (* one shard-isolated domain per window (shard 0 runs here);
-         a crashed shard is retried, then recomputed sequentially *)
-      merge_histograms
-        (Shard_exec.map ~cancel
-           (fun shard ->
-             let lo, hi = windows.(shard) in
-             window_histograms ~cancel s ~max_level ~lo ~hi)
-           (Array.length windows))
-  end
-
-let explore ?cancel ?domains ?shard_threshold s ~max_level ~k =
-  Optimizer.of_histograms ~k (histograms ?cancel ?domains ?shard_threshold s ~max_level)
-
-let misses ?cancel ?domains ?shard_threshold s ~level ~associativity =
+let misses ?cancel s ~level ~associativity =
   if level < 0 then invalid_arg "Streaming.misses: negative level";
-  let hists = histograms ?cancel ?domains ?shard_threshold s ~max_level:level in
+  let hists = histograms ?cancel s ~max_level:level in
   Optimizer.misses_of_histogram hists.(level) ~associativity

@@ -1,80 +1,32 @@
-(** Streaming fused MRCT->histogram kernel.
+(** Streaming fused MRCT->histogram kernel on boxed arrays.
 
-    {!Mrct.build} followed by {!Dfs_optimizer.histograms} materializes one
-    conflict-set array per warm occurrence — O(N * N') words in the worst
-    case — only to fold each set into per-level histograms and throw it
-    away. This module fuses the two passes: it walks the same recency
-    list as {!Mrct.build}, but tallies every conflicting reference
-    directly into per-level depth counts and folds the suffix sums into
-    the histograms on the spot. The conflict table never exists; peak
-    memory is O(N' + levels * max_conflict) and the per-occurrence loop
-    is allocation-free (histogram growth is geometric and amortized).
+    {!Mrct.build} followed by a per-level fold of every conflict set
+    materializes one conflict-set array per warm occurrence — O(N * N')
+    words in the worst case — only to fold each set into per-level
+    histograms and throw it away. This module fuses the two passes: it
+    walks the same recency list as {!Mrct.build}, but tallies every
+    conflicting reference directly into per-level depth counts and folds
+    the suffix sums into the histograms on the spot. The conflict table
+    never exists; peak memory is O(N' + levels * max_conflict) and the
+    per-occurrence loop is allocation-free (histogram growth is
+    geometric and amortized).
 
-    Results are bit-identical to the materialized
-    {!Dfs_optimizer.histograms} path (property tested).
-
-    [domains > 1] shards the *trace* into per-domain windows. Each shard
-    replays the prefix before its window to reconstruct the recency-list
-    state (O(1) per replayed access, no tallying), then tallies its own
-    window; per-level histograms are summed. Warm occurrences partition
-    by position, so the merge is exact. Sharding falls back to the
-    sequential kernel when the windows are too small for the replay and
-    spawn overhead to pay off.
-
-    Sharded runs are fault-isolated through {!Shard_exec}: a crashing
-    domain is retried once in a fresh domain, then its window is
-    recomputed sequentially; only when all three attempts fail does a
-    typed {!Dse_error.Shard_failure} escape.
+    This is the sequential boxed twin of {!Arena_kernel} and serves as
+    its independent reference. Results are bit-identical to the BCAT
+    walk over the materialized MRCT (property tested).
 
     [cancel] (default {!Cancel.none}) is polled every
-    {!Cancel.poll_mask}+1 references of both the replay prologue and the
-    tally loop; an expired token raises a typed
-    {!Dse_error.Deadline_exceeded} from whichever shard notices first
-    (cancellation is not a shard fault: it is never retried). *)
+    {!Cancel.poll_mask}+1 references; an expired token raises a typed
+    {!Dse_error.Deadline_exceeded}. *)
 
-(** [histograms ?cancel ?domains ?shard_threshold stripped ~max_level]
-    computes the per-level conflict-cardinality histograms
-    ([result.(l).(c)] counts warm occurrences whose conflict set meets
-    their depth-[2^l] row in exactly [c] references). [domains] defaults
-    to 1 and is clamped to at least 1; [shard_threshold] (default
-    {!min_shard_refs}) is the smallest per-domain window for which
-    sharding is attempted — tests lower it to exercise the sharded path
-    on short traces. Raises [Invalid_argument] on a negative
+(** [histograms ?cancel stripped ~max_level] computes the per-level
+    conflict-cardinality histograms ([result.(l).(c)] counts warm
+    occurrences whose conflict set meets their depth-[2^l] row in
+    exactly [c] references). Raises [Invalid_argument] on a negative
     [max_level]. *)
-val histograms :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  Strip.t ->
-  max_level:int ->
-  int array array
+val histograms : ?cancel:Cancel.t -> Strip.t -> max_level:int -> int array array
 
-(** [explore ?cancel ?domains ?shard_threshold stripped ~max_level ~k]
-    runs the full postlude on the streamed histograms; equivalent to
-    {!Dfs_optimizer.explore} on a materialized MRCT. *)
-val explore :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  Strip.t ->
-  max_level:int ->
-  k:int ->
-  Optimizer.t
-
-(** [misses ?cancel ?domains ?shard_threshold stripped ~level
-    ~associativity] is the exact non-cold miss count of the [2^level] x
-    [associativity] LRU cache, computed without materializing the
-    conflict table. *)
-val misses :
-  ?cancel:Cancel.t ->
-  ?domains:int ->
-  ?shard_threshold:int ->
-  Strip.t ->
-  level:int ->
-  associativity:int ->
-  int
-
-(** [min_shard_refs] is the smallest per-domain window (in trace
-    references) for which sharding is attempted; below it the sequential
-    kernel runs regardless of [domains]. Exposed for the benchmarks. *)
-val min_shard_refs : int
+(** [misses ?cancel stripped ~level ~associativity] is the exact
+    non-cold miss count of the [2^level] x [associativity] LRU cache,
+    computed without materializing the conflict table. *)
+val misses : ?cancel:Cancel.t -> Strip.t -> level:int -> associativity:int -> int

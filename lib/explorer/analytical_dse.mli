@@ -26,9 +26,9 @@ val of_histograms :
     [percents] defaults to the paper's 5, 10, 15, 20; [max_level]
     defaults to the trace's address bits; [line_words] (default 1) folds
     the trace to line addresses first (model extension beyond the
-    paper). [method_] (default [Streaming]) selects the histogram
-    kernel and [domains] (default 1) its parallelism, as in
-    {!Analytical.explore_many}. *)
+    paper). [method_] (default [Arena]) selects the histogram kernel
+    and [domains] (default 1) the arena kernel's shard count, as in
+    {!Analytical.histograms}. *)
 val run :
   ?percents:int list ->
   ?max_level:int ->

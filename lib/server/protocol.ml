@@ -164,7 +164,6 @@ type response =
 
 let method_tag = function
   | Analytical.Streaming -> 0
-  | Analytical.Dfs -> 1
   | Analytical.Bcat_walk -> 2
   | Analytical.Arena -> 3
 
@@ -567,7 +566,6 @@ let ring_config_field c =
 let method_field c =
   match byte c with
   | 0 -> Exact Analytical.Streaming
-  | 1 -> Exact Analytical.Dfs
   | 2 -> Exact Analytical.Bcat_walk
   | 3 -> Exact Analytical.Arena
   | 4 -> Approx
@@ -593,7 +591,7 @@ let admit ?max_job_refs ?memory_budget ~method_ declared =
   let model =
     match method_ with
     | Exact Analytical.Arena -> `Arena
-    | Exact (Analytical.Streaming | Analytical.Dfs | Analytical.Bcat_walk) -> `Boxed
+    | Exact (Analytical.Streaming | Analytical.Bcat_walk) -> `Boxed
     | Approx -> `Sketch
   in
   (match max_job_refs with

@@ -196,8 +196,9 @@ type response =
           records the post-drain owners accepted. *)
 
 (** [method_tag m] is the stable wire tag of an exact kernel method (0 =
-    streaming, 1 = dfs, 2 = bcat, 3 = arena) — also the cache-key
-    component. *)
+    streaming, 2 = bcat, 3 = arena) — also the cache-key component. Tag
+    1 belonged to a retired method and is rejected on decode like any
+    other unknown tag. *)
 val method_tag : Analytical.method_ -> int
 
 (** [method_spec_tag s] extends {!method_tag} with 4 = approx — the

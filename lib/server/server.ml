@@ -103,10 +103,10 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
    first while the cheap tier keeps answering. *)
 let watermark config = max 1 (((3 * config.max_pending) + 3) / 4)
 
-(* A job at or above one shard of streaming work is "heavy" for
+(* A job at or above one shard of arena work is "heavy" for
    shedding purposes: it is the class whose kernel time dominates queue
    drain time under overload. *)
-let heavy_refs = Streaming.min_shard_refs
+let heavy_refs = Arena_kernel.min_shard_refs
 
 (* How long until a worker likely frees up: queue depth spread over the
    pool, at an assumed quarter-second per heavy job — deliberately

@@ -48,7 +48,7 @@
       footprint); oversized jobs get a typed
       {!Dse_error.Resource_exhausted} before any trace allocation.
     - {b Overload shedding.} Past the queue watermark (3/4 of
-      [max_pending]), heavy submissions (a streaming shard or more of
+      [max_pending]), heavy submissions (an arena shard or more of
       references) are refused with a load-proportional [retry_after]
       hint that client backoff honors; light jobs, pings, health
       probes and cache hits keep being answered.

@@ -98,7 +98,7 @@ val fingerprint_finish : int64 -> len:int -> int64
 
     [model] selects the kernel family the job will run on: [`Boxed]
     (50 B/ref — decoded trace + boxed stripping scratch + streaming
-    recency state; the streaming/dfs/bcat methods) or [`Arena]
+    recency state; the streaming/bcat methods) or [`Arena]
     (18 B/ref — decoded trace + int32 id arena + amortised off-heap
     unique/recency state; the default arena method, whose strip never
     exists as boxed arrays) or [`Sketch] (the one-pass approximate

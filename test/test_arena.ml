@@ -1,7 +1,7 @@
 (* Tests for the off-heap arena kernel: the Arena primitives (bitsets,
    growable word arenas), the arena strip builder against the boxed
    prelude, and bit-identity of the arena histograms with the streaming
-   kernel, the materialized DFS path, and the reference simulator —
+   kernel, the BCAT walk over the MRCT, and the reference simulator —
    including the zero-copy guarantee that sharding never clones the
    strip onto the GC heap. *)
 
@@ -16,8 +16,25 @@ let gen_addresses = QCheck2.Gen.(array_size (int_range 1 250) (int_bound 127))
 
 let gen_line_words = QCheck2.Gen.map (fun k -> 1 lsl k) (QCheck2.Gen.int_bound 3)
 
-let materialized_histograms stripped ~max_level =
-  Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques (Mrct.build stripped) ~max_level
+(* The highest bit a non-negative OCaml int (and so a trace address)
+   can carry. *)
+let top_bit = 1 lsl (Sys.int_size - 2)
+
+(* Trace shapes the PowerStone set lacks, beside the plain random mix:
+   one unique address (N' = 1), all-distinct addresses (N' = N), and
+   addresses that set the top bit, half of them differing from their
+   low-bit twins only there. *)
+let gen_edge_addresses =
+  let open QCheck2.Gen in
+  oneof
+    [
+      gen_addresses;
+      map2 (fun a n -> Array.make n a) (int_bound 127) (int_range 1 50);
+      (* the low byte is the (< 256) position, so no address repeats *)
+      map (Array.mapi (fun i a -> (a lsl 8) lor i)) gen_addresses;
+      map (Array.map (fun a -> if a land 1 = 0 then top_bit lor a else a)) gen_addresses;
+      map (Array.map (fun a -> top_bit lor (a lsr 1))) gen_addresses;
+    ]
 
 (* -- Arena primitives -- *)
 
@@ -122,18 +139,16 @@ let test_strip_rejects_bad_line_words () =
         (fun () -> ignore (Arena_kernel.of_trace ~line_words trace)))
     [ 0; -4; 3; 12 ]
 
-(* -- histogram identity: arena = streaming = materialized = simulator -- *)
+(* -- histogram identity: arena = streaming = BCAT walk = simulator -- *)
 
 let prop_arena_equals_streaming =
-  prop "arena histograms = streaming = materialized DFS (random line_words)"
-    QCheck2.Gen.(pair gen_addresses gen_line_words)
+  prop "arena histograms = streaming = BCAT walk (edge shapes, random line_words)"
+    QCheck2.Gen.(pair gen_edge_addresses gen_line_words)
     (fun (addrs, line_words) ->
       let prepared = Analytical.prepare ~line_words (Trace.of_addresses addrs) in
-      let stripped = Analytical.stripped prepared in
-      let max_level = Analytical.max_level prepared in
-      let arena = Arena_kernel.histograms (Analytical.arena_strip prepared) ~max_level in
-      arena = Streaming.histograms stripped ~max_level
-      && arena = materialized_histograms stripped ~max_level)
+      let arena = Analytical.histograms prepared in
+      arena = Analytical.histograms ~method_:Analytical.Streaming prepared
+      && arena = Analytical.histograms ~method_:Analytical.Bcat_walk prepared)
 
 let prop_arena_shard_invariant =
   prop ~count:60 "arena histograms independent of domain count (forced sharding)"
@@ -148,42 +163,39 @@ let prop_arena_shard_invariant =
       && Arena_kernel.histograms ~domains astrip ~max_level = seq)
 
 let prop_arena_exact_vs_simulator =
-  prop ~count:150 "arena misses = streaming misses = simulated LRU non-cold misses"
+  prop ~count:200 "arena misses = streaming = BCAT walk = simulated LRU non-cold misses"
     QCheck2.Gen.(
-      quad gen_addresses (map (fun k -> 1 lsl k) (int_bound 5)) (int_range 1 6) gen_line_words)
-    (fun (addrs, depth, associativity, line_words) ->
-      QCheck2.assume (Array.length addrs > 0);
+      quad gen_edge_addresses (int_bound 5) (int_range 1 6) gen_line_words)
+    (fun (addrs, level, associativity, line_words) ->
       let trace = Trace.of_addresses addrs in
       let prepared = Analytical.prepare ~line_words trace in
-      let depth = min depth (1 lsl Analytical.max_level prepared) in
-      let arena = Analytical.misses ~method_:Analytical.Arena prepared ~depth ~associativity in
-      let streaming =
-        Analytical.misses ~method_:Analytical.Streaming prepared ~depth ~associativity
-      in
+      let depth = 1 lsl min level (Analytical.max_level prepared) in
       let sim =
         (Cache.simulate (Config.make ~line_words ~depth ~associativity ()) trace).Cache.misses
       in
-      arena = streaming && arena = sim)
+      List.for_all
+        (fun method_ -> Analytical.misses ~method_ prepared ~depth ~associativity = sim)
+        [ Analytical.Arena; Analytical.Streaming; Analytical.Bcat_walk ])
 
 let prop_explore_arena_agrees =
-  prop ~count:80 "explore: arena = streaming = dfs" gen_addresses (fun addrs ->
+  prop ~count:80 "explore: arena = streaming = bcat walk" gen_addresses (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
       let prepared = Analytical.prepare (Trace.of_addresses addrs) in
       let pairs method_ =
         Optimizer.optimal_pairs (Analytical.explore_prepared ~method_ prepared ~k:7)
       in
       pairs Analytical.Arena = pairs Analytical.Streaming
-      && pairs Analytical.Arena = pairs Analytical.Dfs)
+      && pairs Analytical.Arena = pairs Analytical.Bcat_walk)
 
 (* the fallback threshold hides the sharded path from small random
    traces, so also drive a trace long enough to shard for real *)
 let test_arena_sharded_long_trace () =
-  let body = 37 and iterations = (4 * Streaming.min_shard_refs / 37) + 1 in
+  let body = 37 and iterations = (4 * Arena_kernel.min_shard_refs / 37) + 1 in
   let trace = Synthetic.loop ~base:0 ~body ~iterations in
   let astrip = Arena_kernel.of_trace trace in
   let max_level = Arena_kernel.address_bits astrip in
   check_bool "trace long enough to shard" true
-    (Arena_kernel.num_refs astrip >= 4 * Streaming.min_shard_refs);
+    (Arena_kernel.num_refs astrip >= 4 * Arena_kernel.min_shard_refs);
   let seq = Arena_kernel.histograms astrip ~max_level in
   check_bool "4 shards identical" true
     (Arena_kernel.histograms ~domains:4 astrip ~max_level = seq);
@@ -212,7 +224,7 @@ let test_sharded_run_copies_no_strip () =
      allocated there directly). The sharded arena run hands every domain
      the same bigarray handles, so cumulative major-heap allocation
      stays orders of magnitude below one strip copy. *)
-  let refs = 4 * Streaming.min_shard_refs in
+  let refs = 4 * Arena_kernel.min_shard_refs in
   let trace = Synthetic.loop ~base:0 ~body:48 ~iterations:((refs + 47) / 48) in
   let astrip = Arena_kernel.of_trace trace in
   let max_level = Arena_kernel.address_bits astrip in

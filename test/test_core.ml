@@ -1,7 +1,8 @@
 (* Tests for the analytical model: zero/one sets (Table 3), BCAT
    (Algorithm 1, Figure 3), MRCT (Algorithm 2, Table 4), the postlude
-   optimizer (Algorithm 3) and its DFS variant — including the central
-   exactness property against the reference cache simulator. *)
+   optimizer (Algorithm 3) and the fused kernels' agreement with it —
+   including the central exactness property against the reference cache
+   simulator. *)
 
 let check_int = Alcotest.(check int)
 
@@ -246,31 +247,35 @@ let test_optimal_pairs () =
     "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
     (Optimizer.optimal_pairs result)
 
-(* -- DFS variant equivalence -- *)
+(* -- fused kernels against the BCAT walk -- *)
 
-let dfs_result stripped ~k =
-  Dfs_optimizer.explore ~addresses:stripped.Strip.uniques (Mrct.build stripped)
-    ~max_level:(Strip.address_bits stripped) ~k
+let test_fused_paper () =
+  let prepared = Analytical.prepare (Paper_example.trace ()) in
+  List.iter
+    (fun method_ ->
+      Alcotest.(check (list (pair int int)))
+        "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
+        (Optimizer.optimal_pairs (Analytical.explore_prepared ~method_ prepared ~k:0)))
+    [ Analytical.Arena; Analytical.Streaming ]
 
-let test_dfs_paper () =
-  let result = dfs_result (paper_stripped ()) ~k:0 in
-  Alcotest.(check (list (pair int int)))
-    "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
-    (Optimizer.optimal_pairs result)
-
-let prop_dfs_equals_bcat_walk =
-  prop ~count:100 "DFS histograms = BCAT-walk histograms" gen_addresses (fun addrs ->
+let prop_fused_equals_bcat_walk =
+  prop ~count:100 "fused histograms = BCAT-walk histograms" gen_addresses (fun addrs ->
       let stripped = Strip.strip_addresses addrs in
       let mrct = Mrct.build stripped in
-      let zo = Zero_one.build stripped in
-      let bcat = Bcat.build zo in
+      let bcat = Bcat.build (Zero_one.build stripped) in
       let max_level = Bcat.max_level bcat in
-      let dfs = Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level in
-      let ok = ref true in
-      for level = 0 to max_level do
-        if Optimizer.histogram_at bcat mrct ~level <> dfs.(level) then ok := false
-      done;
-      !ok)
+      let walk =
+        Array.init (max_level + 1) (fun level -> Optimizer.histogram_at bcat mrct ~level)
+      in
+      let astrip = Arena_kernel.of_trace (Trace.of_addresses addrs) in
+      walk = Streaming.histograms stripped ~max_level
+      && walk = Arena_kernel.histograms astrip ~max_level)
+
+(* the level-0 histogram of the BCAT walk: the root row holds every
+   reference, so [|C ∩ S|] is the conflict set's size *)
+let level0_histogram stripped =
+  let bcat = Bcat.build ~max_level:0 (Zero_one.build stripped) in
+  Optimizer.histogram_at bcat (Mrct.build stripped) ~level:0
 
 (* -- histogram accounting invariants -- *)
 
@@ -278,10 +283,7 @@ let prop_histogram_accounting =
   prop "level-0 histogram counts the non-empty conflict sets" gen_addresses (fun addrs ->
       let stripped = Strip.strip_addresses addrs in
       let mrct = Mrct.build stripped in
-      let hists =
-        Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level:0
-      in
-      let recorded = Array.fold_left ( + ) 0 hists.(0) in
+      let recorded = Array.fold_left ( + ) 0 (level0_histogram stripped) in
       let non_empty = ref 0 in
       Mrct.iter (fun _ set -> if Array.length set > 0 then incr non_empty) mrct;
       recorded = !non_empty)
@@ -291,11 +293,7 @@ let prop_level0_misses_formula =
     (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
       let stripped = Strip.strip_addresses addrs in
-      let mrct = Mrct.build stripped in
-      let hists =
-        Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level:0
-      in
-      let misses = Optimizer.misses_of_histogram hists.(0) ~associativity:1 in
+      let misses = Optimizer.misses_of_histogram (level0_histogram stripped) ~associativity:1 in
       let repeats = ref 0 in
       Array.iteri
         (fun idx a -> if idx > 0 && addrs.(idx - 1) = a then incr repeats)
@@ -338,26 +336,33 @@ let prop_model_monotone_in_k =
              b.Optimizer.min_associativity <= a.Optimizer.min_associativity)
            r5.Optimizer.levels r50.Optimizer.levels)
 
+(* S at level l+1 is a subset of S at level l, so every occurrence's
+   |C ∩ S| is non-increasing in l: for each fixed associativity, misses
+   cannot grow with depth. Checked on the arena's histograms over every
+   level and on the simulator over the depths it can run. *)
 let prop_model_monotone_in_depth =
-  prop ~count:100 "analytical misses non-increasing in depth (fixed assoc)" gen_addresses
-    (fun addrs ->
+  prop ~count:100 "analytical misses non-increasing in depth for every associativity"
+    gen_addresses (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
       let prepared = Analytical.prepare (Trace.of_addresses addrs) in
-      let result = Analytical.explore_prepared prepared ~k:0 in
-      let misses level =
-        let hist =
-          Dfs_optimizer.histograms ~addresses:(Analytical.stripped prepared).Strip.uniques
-            (Analytical.mrct prepared) ~max_level:level
+      let hists = Analytical.histograms prepared in
+      let levels = Array.length hists in
+      let ways = Array.fold_left (fun acc h -> max acc (Array.length h)) 1 hists in
+      let non_increasing misses ~last =
+        let rec go level prev =
+          level > last
+          || (let m = misses level in
+              m <= prev && go (level + 1) m)
         in
-        Optimizer.misses_of_histogram hist.(level) ~associativity:2
+        go 1 (misses 0)
       in
-      let levels = Array.length result.Optimizer.levels in
-      let rec check level prev =
-        level >= levels
-        || (let m = misses level in
-            m <= prev && check (level + 1) m)
-      in
-      check 1 (misses 0))
+      List.for_all
+        (fun associativity ->
+          non_increasing ~last:(levels - 1) (fun level ->
+              Optimizer.misses_of_histogram hists.(level) ~associativity)
+          && non_increasing ~last:(min (levels - 1) 5) (fun level ->
+                 simulated_misses addrs ~depth:(1 lsl level) ~associativity))
+        (List.init (ways + 1) (fun a -> a + 1)))
 
 let test_analytical_facade () =
   let trace = Paper_example.trace () in
@@ -422,8 +427,8 @@ let suites =
         Alcotest.test_case "budget of two" `Quick test_optimizer_budget_two;
         Alcotest.test_case "negative budget rejected" `Quick test_optimizer_rejects_negative_budget;
         Alcotest.test_case "optimal pairs" `Quick test_optimal_pairs;
-        Alcotest.test_case "DFS on paper example" `Quick test_dfs_paper;
-        prop_dfs_equals_bcat_walk;
+        Alcotest.test_case "fused kernels on paper example" `Quick test_fused_paper;
+        prop_fused_equals_bcat_walk;
       ] );
     ( "core:exactness",
       [

@@ -100,54 +100,43 @@ let prop_reduce_keeps_uniques =
       let uniques t = (Strip.strip t).Strip.uniques |> Array.to_list |> List.sort compare in
       uniques trace = uniques r.Reduce.reduced)
 
-(* -- parallel optimizer -- *)
+(* -- multicore postlude: the arena kernel's trace-window shards -- *)
 
+(* the paper's "distributed sets" remark, realised as trace windows:
+   forced sharding (threshold 1) must reproduce the sequential BCAT walk *)
 let prop_parallel_equals_sequential =
   prop ~count:60 "parallel histograms = sequential (1..5 domains)"
     QCheck2.Gen.(pair gen_addresses (int_range 1 5))
     (fun (addrs, domains) ->
-      let stripped = Strip.strip_addresses addrs in
-      let mrct = Mrct.build stripped in
-      let max_level = Strip.address_bits stripped in
-      let seq = Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level in
-      let par =
-        Parallel_optimizer.histograms ~domains ~addresses:stripped.Strip.uniques mrct
-          ~max_level
-      in
-      seq = par)
+      let prepared = Analytical.prepare (Trace.of_addresses addrs) in
+      Arena_kernel.histograms ~domains ~shard_threshold:1 (Analytical.arena_strip prepared)
+        ~max_level:(Analytical.max_level prepared)
+      = Analytical.histograms ~method_:Analytical.Bcat_walk prepared)
 
 let test_parallel_real_trace () =
   let trace = Workload.data_trace (Registry.find "engine") in
   let prepared = Analytical.prepare trace in
-  let addresses = (Analytical.stripped prepared).Strip.uniques in
-  let mrct = Analytical.mrct prepared in
-  let seq =
-    Dfs_optimizer.explore ~addresses mrct ~max_level:(Analytical.max_level prepared) ~k:50
-  in
+  let seq = Analytical.explore_prepared ~method_:Analytical.Bcat_walk prepared ~k:50 in
   let par =
-    Parallel_optimizer.explore ~domains:4 ~addresses mrct
+    Arena_kernel.explore ~domains:4 ~shard_threshold:1024 (Analytical.arena_strip prepared)
       ~max_level:(Analytical.max_level prepared) ~k:50
   in
   check_bool "same pairs" true (Optimizer.optimal_pairs seq = Optimizer.optimal_pairs par)
 
-(* the satellite guarantee behind `dse explore --method dfs --domains N`:
-   identifier-partitioned histograms match the sequential DFS bit for bit
-   on a real PowerStone trace *)
 let test_parallel_powerstone_histograms () =
   let trace = Workload.data_trace (Registry.find "compress") in
   let stripped = Strip.strip trace in
-  let mrct = Mrct.build stripped in
   let max_level = Strip.address_bits stripped in
-  let seq = Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques mrct ~max_level in
+  let seq = Streaming.histograms stripped ~max_level in
   let par =
-    Parallel_optimizer.histograms ~domains:4 ~addresses:stripped.Strip.uniques mrct ~max_level
+    Arena_kernel.histograms ~domains:4 ~shard_threshold:1024 (Arena_kernel.of_trace trace)
+      ~max_level
   in
   check_bool "histograms identical" true (seq = par)
 
 let test_parallel_degenerate () =
-  let stripped = Strip.strip_addresses [||] in
-  let mrct = Mrct.build stripped in
-  let h = Parallel_optimizer.histograms ~domains:8 ~addresses:[||] mrct ~max_level:3 in
+  let astrip = Arena_kernel.of_trace (Trace.create ()) in
+  let h = Arena_kernel.histograms ~domains:8 ~shard_threshold:1 astrip ~max_level:3 in
   check_int "levels" 4 (Array.length h)
 
 (* -- synthetic generators -- *)

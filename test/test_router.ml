@@ -201,7 +201,7 @@ let test_frame_reads_survive_dripping () =
   let request =
     Protocol.Submit
       { name = "drip"; trace = Protocol.Full trace; query = Protocol.Percents [ 5; 10 ];
-        method_ = Protocol.Exact Analytical.Dfs; domains = 2; max_level = Some 6;
+        method_ = Protocol.Exact Analytical.Bcat_walk; domains = 2; max_level = Some 6;
         deadline = None }
   in
   let request_bytes = capture_frame (fun fd -> Protocol.write_request fd request) in
@@ -579,7 +579,7 @@ let test_router_config_validation () =
       { (router_config [ "/tmp/a.sock" ]) with Router.replicas = 0 };
     ]
 
-(* Wide enough to shard at --domains 2 (>= 2 x Streaming.min_shard_refs),
+(* Wide enough to shard at --domains 2 (>= 2 x Arena_kernel.min_shard_refs),
    tiny working set so the healthy run is sub-second — the same shape
    the watchdog tests use. *)
 let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
@@ -587,7 +587,7 @@ let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
 let test_router_hedges_slow_backend () =
   let trace = Lazy.force hang_trace in
   check_bool "trace shards at 2 domains" true
-    (Trace.length trace >= 2 * Streaming.min_shard_refs);
+    (Trace.length trace >= 2 * Arena_kernel.min_shard_refs);
   with_backends ~workers:1 2 (fun backends _servers ->
       with_router
         (router_config ~hedge:(Router.Fixed 0.3) backends)

@@ -72,18 +72,17 @@ let test_kernels_honour_cancellation () =
       in
       check_bool (label ^ ": identical under a live token") true (unconstrained = watched))
     [
+      ("arena", Analytical.Arena, 1);
+      ("arena-x4", Analytical.Arena, 4);
       ("streaming", Analytical.Streaming, 1);
-      ("streaming-x4", Analytical.Streaming, 4);
-      ("dfs", Analytical.Dfs, 1);
-      ("dfs-x4", Analytical.Dfs, 4);
       ("bcat", Analytical.Bcat_walk, 1);
     ];
   (* cancellation must not be eaten by the shard recovery ladder: the
      expiry surfaces as Deadline_exceeded, never as a Shard_failure
      after three futile retries *)
   raises_deadline "no shard retries" (fun () ->
-      Streaming.histograms ~cancel:(expired_token ()) ~domains:4 ~shard_threshold:1
-        (Analytical.stripped prepared) ~max_level:(Analytical.max_level prepared))
+      Arena_kernel.histograms ~cancel:(expired_token ()) ~domains:4 ~shard_threshold:1
+        (Analytical.arena_strip prepared) ~max_level:(Analytical.max_level prepared))
 
 (* -- LRU result cache -- *)
 

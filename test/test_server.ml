@@ -50,7 +50,7 @@ let test_request_roundtrip () =
             name = "t";
             trace = Protocol.Full trace;
             query = Protocol.Percents [ 5; 10 ];
-            method_ = Protocol.Exact Analytical.Dfs;
+            method_ = Protocol.Exact Analytical.Bcat_walk;
             domains = 3;
             max_level = Some 7;
             deadline = Some 1.5;
@@ -63,7 +63,7 @@ let test_request_roundtrip () =
       | Protocol.Full t -> Trace.to_list t = Trace.to_list trace
       | Protocol.Sketched _ -> false);
     check_bool "query" true (s.query = Protocol.Percents [ 5; 10 ]);
-    check_bool "method" true (s.method_ = Protocol.Exact Analytical.Dfs);
+    check_bool "method" true (s.method_ = Protocol.Exact Analytical.Bcat_walk);
     check_int "domains" 3 s.domains;
     check_bool "max_level" true (s.max_level = Some 7);
     check_bool "deadline" true (s.deadline = Some 1.5)
@@ -191,6 +191,46 @@ let test_protocol_damage () =
       ignore (Unix.write a frame 0 (n - 6));
       Unix.close a;
       expect_corrupt "truncation" (Protocol.read_request b))
+
+(* Method tag 1 named a retired kernel. A well-formed, correctly sealed
+   frame that carries it must be refused as malformed, like any other
+   unknown tag, instead of being mapped to some surviving method. *)
+let test_retired_method_tag () =
+  let read_end, write_end = Unix.pipe () in
+  ok_or_fail
+    (Protocol.write_request write_end
+       (Protocol.Submit
+          {
+            name = "t";
+            trace = Protocol.Full (Trace.of_addresses [| 1; 2; 1 |]);
+            query = Protocol.Budget 0;
+            method_ = Protocol.Exact Analytical.Streaming;
+            domains = 1;
+            max_level = None;
+            deadline = None;
+          }));
+  let frame = Bytes.create 256 in
+  let n = Unix.read read_end frame 0 256 in
+  Unix.close read_end;
+  Unix.close write_end;
+  (* magic (4) + version + tag + one-byte payload length, then the
+     payload: the name's length byte, 't', and the method byte *)
+  let method_at = 9 in
+  check_int "streaming's tag sits at the method byte" 0 (Char.code (Bytes.get frame method_at));
+  Bytes.set frame method_at '\001';
+  let crc = Crc32.digest_string (Bytes.sub_string frame 0 (n - 4)) in
+  for i = 0 to 3 do
+    Bytes.set frame (n - 4 + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
+  done;
+  with_socketpair (fun a b ->
+      ignore (Unix.write a frame 0 n);
+      Unix.close a;
+      match Protocol.read_request b with
+      | Error (Dse_error.Corrupt_binary { offset; message; _ }) ->
+        check_int "offset of the method byte in the payload" 2 offset;
+        Alcotest.(check string) "message" "unknown method tag 1" message
+      | Error e -> Alcotest.failf "wrong error class: %s" (Dse_error.to_string e)
+      | Ok _ -> Alcotest.fail "method tag 1 accepted")
 
 (* -- fingerprint -- *)
 
@@ -441,25 +481,26 @@ let test_sigterm_drains () =
 
 let test_job_shard_recovery () =
   with_server ~workers:1 (fun socket _server ->
-      let name, trace = List.hd (Lazy.force small_traces) in
-      let clean = ok_or_fail (Client.submit ~socket ~method_:Analytical.Dfs ~name trace) in
+      (* long enough that two domains shard at the production threshold *)
+      let iterations = (2 * Arena_kernel.min_shard_refs / 37) + 1 in
+      let name = "wide" and trace = Synthetic.loop ~base:0 ~body:37 ~iterations in
+      let clean = ok_or_fail (Client.submit ~socket ~name trace) in
       Fault.set (Some { Fault.kind = Fault.Fail; shard = 1; times = 1 });
       Fun.protect
         ~finally:(fun () -> Fault.set None)
         (fun () ->
           (* domains=2 is a fresh cache key; the injected fault exercises
              the retry rung inside the worker, invisibly to the client *)
-          let silence = Dse_error.(!on_degradation) in
-          Dse_error.on_degradation := (fun _ -> ());
+          let saved = Dse_error.(!on_degradation) in
+          let degradations = Atomic.make 0 in
+          Dse_error.on_degradation := (fun _ -> Atomic.incr degradations);
           Fun.protect
-            ~finally:(fun () -> Dse_error.on_degradation := silence)
+            ~finally:(fun () -> Dse_error.on_degradation := saved)
             (fun () ->
-              let faulted =
-                ok_or_fail
-                  (Client.submit ~socket ~method_:Analytical.Dfs ~domains:2 ~name trace)
-              in
+              let faulted = ok_or_fail (Client.submit ~socket ~domains:2 ~name trace) in
               check_bool "recovered identically" true
-                (clean.Protocol.outcome = faulted.Protocol.outcome))))
+                (clean.Protocol.outcome = faulted.Protocol.outcome);
+              check_int "the faulted shard was retried" 1 (Atomic.get degradations))))
 
 let suites =
   [
@@ -468,6 +509,7 @@ let suites =
         Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
         Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
         Alcotest.test_case "damage detection" `Quick test_protocol_damage;
+        Alcotest.test_case "retired method tag rejected" `Quick test_retired_method_tag;
       ] );
     ( "server:components",
       [

@@ -1,6 +1,7 @@
-(* Tests for the streaming fused MRCT->histogram kernel: bit-identical
-   to the materialized DFS path, exact against the reference simulator,
-   shard-count invariant, and well-behaved on degenerate traces. *)
+(* Tests for the sequential boxed streaming kernel: bit-identical to the
+   BCAT walk over the materialized MRCT, exact against the reference
+   simulator, and well-behaved on degenerate traces; plus the analytical
+   facade's defaults. *)
 
 let check_int = Alcotest.(check int)
 
@@ -13,58 +14,33 @@ let gen_addresses = QCheck2.Gen.(array_size (int_range 1 250) (int_bound 127))
 
 let gen_line_words = QCheck2.Gen.map (fun k -> 1 lsl k) (QCheck2.Gen.int_bound 3)
 
-let materialized_histograms stripped ~max_level =
-  Dfs_optimizer.histograms ~addresses:stripped.Strip.uniques (Mrct.build stripped) ~max_level
+let bcat_walk_histograms prepared = Analytical.histograms ~method_:Analytical.Bcat_walk prepared
 
-(* -- equivalence with the materialized path -- *)
+(* -- equivalence with the BCAT walk -- *)
 
 let test_streaming_paper () =
-  let stripped = Strip.strip (Paper_example.trace ()) in
-  let max_level = Strip.address_bits stripped in
-  Alcotest.(check bool)
-    "histograms identical" true
-    (Streaming.histograms stripped ~max_level = materialized_histograms stripped ~max_level);
-  let result = Streaming.explore stripped ~max_level ~k:0 in
+  let prepared = Analytical.prepare (Paper_example.trace ()) in
+  let stripped = Analytical.stripped prepared in
+  let max_level = Analytical.max_level prepared in
+  let streamed = Streaming.histograms stripped ~max_level in
+  Alcotest.(check bool) "histograms identical" true (streamed = bcat_walk_histograms prepared);
+  let result = Optimizer.of_histograms ~k:0 streamed in
   Alcotest.(check (list (pair int int)))
     "pairs" [ (1, 5); (2, 3); (4, 2); (8, 2); (16, 1) ]
     (Optimizer.optimal_pairs result)
 
-let prop_streaming_equals_materialized =
-  prop "streaming histograms = materialized DFS histograms (random line_words)"
+let prop_streaming_equals_bcat_walk =
+  prop "streaming histograms = BCAT-walk histograms (random line_words)"
     QCheck2.Gen.(pair gen_addresses gen_line_words)
     (fun (addrs, line_words) ->
       let prepared = Analytical.prepare ~line_words (Trace.of_addresses addrs) in
-      let stripped = Analytical.stripped prepared in
-      let max_level = Analytical.max_level prepared in
-      Streaming.histograms stripped ~max_level = materialized_histograms stripped ~max_level)
+      Streaming.histograms (Analytical.stripped prepared) ~max_level:(Analytical.max_level prepared)
+      = bcat_walk_histograms prepared)
 
-let prop_streaming_shard_invariant =
-  prop ~count:60 "streaming histograms independent of domain count"
-    QCheck2.Gen.(pair gen_addresses (int_range 2 6))
-    (fun (addrs, domains) ->
-      let stripped = Strip.strip_addresses addrs in
-      let max_level = Strip.address_bits stripped in
-      Streaming.histograms ~domains stripped ~max_level
-      = Streaming.histograms stripped ~max_level)
-
-(* the fallback threshold hides the sharded path from small random
-   traces, so exercise the window kernel directly through a trace long
-   enough to shard: a loop both wraps shard boundaries and keeps every
-   occurrence warm *)
-let test_streaming_sharded_long_trace () =
-  let body = 37 and iterations = (4 * Streaming.min_shard_refs / 37) + 1 in
-  let stripped = Strip.strip (Synthetic.loop ~base:0 ~body ~iterations) in
-  let max_level = Strip.address_bits stripped in
-  check_bool "trace long enough to shard" true
-    (Strip.num_refs stripped >= 4 * Streaming.min_shard_refs);
-  let seq = Streaming.histograms stripped ~max_level in
-  check_bool "4 shards identical" true (Streaming.histograms ~domains:4 stripped ~max_level = seq);
-  check_bool "matches materialized" true (materialized_histograms stripped ~max_level = seq)
-
-(* -- three-way exactness: streaming = DFS = simulator -- *)
+(* -- three-way exactness: streaming = BCAT walk = simulator -- *)
 
 let prop_streaming_exact_vs_simulator =
-  prop ~count:150 "streaming misses = DFS misses = simulated LRU non-cold misses"
+  prop ~count:150 "streaming misses = BCAT-walk misses = simulated LRU non-cold misses"
     QCheck2.Gen.(
       quad gen_addresses (map (fun k -> 1 lsl k) (int_bound 5)) (int_range 1 6) gen_line_words)
     (fun (addrs, depth, associativity, line_words) ->
@@ -75,21 +51,22 @@ let prop_streaming_exact_vs_simulator =
       let streaming =
         Analytical.misses ~method_:Analytical.Streaming prepared ~depth ~associativity
       in
-      let dfs = Analytical.misses ~method_:Analytical.Dfs prepared ~depth ~associativity in
+      let walk =
+        Analytical.misses ~method_:Analytical.Bcat_walk prepared ~depth ~associativity
+      in
       let sim =
         (Cache.simulate (Config.make ~line_words ~depth ~associativity ()) trace).Cache.misses
       in
-      streaming = dfs && streaming = sim)
+      streaming = walk && streaming = sim)
 
 let prop_explore_methods_agree =
-  prop ~count:80 "explore: streaming = dfs = bcat walk" gen_addresses (fun addrs ->
+  prop ~count:80 "explore: streaming = bcat walk" gen_addresses (fun addrs ->
       QCheck2.assume (Array.length addrs > 0);
       let prepared = Analytical.prepare (Trace.of_addresses addrs) in
       let pairs method_ =
         Optimizer.optimal_pairs (Analytical.explore_prepared ~method_ prepared ~k:7)
       in
-      pairs Analytical.Streaming = pairs Analytical.Dfs
-      && pairs Analytical.Streaming = pairs Analytical.Bcat_walk)
+      pairs Analytical.Streaming = pairs Analytical.Bcat_walk)
 
 (* -- edge cases -- *)
 
@@ -97,9 +74,7 @@ let test_streaming_empty_trace () =
   let stripped = Strip.strip (Trace.create ()) in
   let hists = Streaming.histograms stripped ~max_level:3 in
   check_int "levels" 4 (Array.length hists);
-  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists;
-  let sharded = Streaming.histograms ~domains:8 stripped ~max_level:3 in
-  check_bool "sharded empty identical" true (hists = sharded)
+  Array.iter (fun h -> Alcotest.(check (array int)) "empty level" [| 0 |] h) hists
 
 let test_streaming_single_ref () =
   let stripped = Strip.strip_addresses [| 42 |] in
@@ -151,9 +126,7 @@ let suites =
     ( "streaming:equivalence",
       [
         Alcotest.test_case "paper example" `Quick test_streaming_paper;
-        prop_streaming_equals_materialized;
-        prop_streaming_shard_invariant;
-        Alcotest.test_case "sharded long trace" `Slow test_streaming_sharded_long_trace;
+        prop_streaming_equals_bcat_walk;
         prop_streaming_exact_vs_simulator;
         prop_explore_methods_agree;
       ] );

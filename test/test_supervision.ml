@@ -304,7 +304,7 @@ let with_server ?(workers = 2) ?(max_pending = 16) ?(hang_timeout = 30.) ?max_jo
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f path server)
 
-(* Wide but cheap: 139264 references (>= 2 x Streaming.min_shard_refs,
+(* Wide but cheap: 139264 references (>= 2 x Arena_kernel.min_shard_refs,
    so --domains 2 takes the sharded path the hang injection lives on)
    over only 256 uniques. The small working set matters twice: the
    healthy shard — whose polls beat the job's shared heartbeat — drains
@@ -316,7 +316,7 @@ let hang_trace = lazy (Synthetic.loop ~base:0 ~body:256 ~iterations:544)
 let test_watchdog_answers_hung_job () =
   let trace = Lazy.force hang_trace in
   check_bool "trace is wide enough to shard at 2 domains" true
-    (Trace.length trace >= 2 * Streaming.min_shard_refs);
+    (Trace.length trace >= 2 * Arena_kernel.min_shard_refs);
   let hang_timeout = 0.75 in
   Fault.set (Some { Fault.kind = Fault.Hang; shard = 0; times = 1 });
   Fun.protect
@@ -512,7 +512,7 @@ let test_shedding_heavy_jobs_past_watermark () =
   with_server ~workers:1 ~max_pending:4 ~on_job_start:hook (fun socket _server ->
       let light seed = Trace.of_addresses (Array.init 64 (fun i -> i * seed)) in
       let heavy =
-        Trace.of_addresses (Array.init Streaming.min_shard_refs (fun i -> i land 1023))
+        Trace.of_addresses (Array.init Arena_kernel.min_shard_refs (fun i -> i land 1023))
       in
       let submit_async name trace =
         Domain.spawn (fun () -> Client.submit ~socket ~name trace)
