@@ -46,24 +46,44 @@ let histogram_at bcat mrct ~level =
 let misses_at bcat mrct ~level ~associativity =
   misses_of_histogram (histogram_at bcat mrct ~level) ~associativity
 
-let level_result_of_histogram ~k ~level histogram =
-  (* Scan associativities upward until the budget is met; the histogram
-     length bounds the largest useful associativity. *)
-  let rec search a =
-    let m = misses_of_histogram histogram ~associativity:a in
-    if m <= k then (a, m) else search (a + 1)
-  in
-  let min_associativity, misses = search 1 in
+let suffix_sums histogram =
+  let width = Array.length histogram in
+  let sums = Array.make (width + 1) 0 in
+  for c = width - 1 downto 0 do
+    sums.(c) <- sums.(c + 1) + histogram.(c)
+  done;
+  sums
+
+type tails = int array array
+
+let tails histograms = Array.map suffix_sums histograms
+
+(* One pass over a level's tail sums: they are non-increasing in A and
+   reach 0 at the histogram width, so the first A meeting the budget and
+   the first A with no miss at all are both found by a scan that stops
+   there — O(width) per level, however many budgets share the tails. *)
+let level_result_of_tail ~k ~level sums =
+  let width = Array.length sums - 1 in
+  let a = ref 1 in
+  while !a < width && sums.(!a) > k do
+    incr a
+  done;
+  let zero = ref width in
+  while !zero > 1 && sums.(!zero - 1) = 0 do
+    decr zero
+  done;
   { level;
     depth = 1 lsl level;
-    min_associativity;
-    misses;
-    zero_miss_associativity = max 1 (Array.length histogram);
+    min_associativity = !a;
+    misses = (if !a > width then 0 else sums.(!a));
+    zero_miss_associativity = max 1 !zero;
   }
 
-let of_histograms ~k histograms =
+let of_tails ~k tails =
   if k < 0 then invalid_arg "Optimizer: negative miss budget";
-  { k; levels = Array.mapi (fun level h -> level_result_of_histogram ~k ~level h) histograms }
+  { k; levels = Array.mapi (fun level sums -> level_result_of_tail ~k ~level sums) tails }
+
+let of_histograms ~k histograms = of_tails ~k (tails histograms)
 
 let explore bcat mrct ~k =
   if k < 0 then invalid_arg "Optimizer.explore: negative miss budget";

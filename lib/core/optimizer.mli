@@ -48,6 +48,24 @@ val of_histograms : k:int -> int array array -> t
     giving the miss count at one associativity. *)
 val misses_of_histogram : int array -> associativity:int -> int
 
+(** [suffix_sums h] is [s] of length [Array.length h + 1] with
+    [s.(a) = misses_of_histogram h ~associativity:a] for every
+    [a >= 1] up to the width, and [s.(width) = 0]. *)
+val suffix_sums : int array -> int array
+
+(** Every level's {!suffix_sums}, computed once so any number of
+    budgets can be answered from them ({!of_tails}). *)
+type tails
+
+val tails : int array array -> tails
+
+(** [of_tails ~k tails] is [of_histograms ~k histograms] for the
+    histograms [tails] was built from, in O(width) per level.
+    [zero_miss_associativity] is the smallest A whose tail sum is 0, so
+    a histogram with trailing zero counts gets the A its last non-zero
+    count implies, not its width. *)
+val of_tails : k:int -> tails -> t
+
 (** [optimal_pairs t] lists the (depth, associativity) design instances,
     one per level — the paper's output set. *)
 val optimal_pairs : t -> (int * int) list

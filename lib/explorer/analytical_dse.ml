@@ -8,7 +8,8 @@ type table = {
 
 let of_histograms ?(percents = [ 5; 10; 15; 20 ]) ~name ~stats histograms =
   let budgets = List.map (fun percent -> Stats.budget stats ~percent) percents in
-  let results = List.map (fun k -> Optimizer.of_histograms ~k histograms) budgets in
+  let tails = Optimizer.tails histograms in
+  let results = List.map (fun k -> Optimizer.of_tails ~k tails) budgets in
   let max_level = Array.length histograms - 1 in
   let rows =
     List.init (max_level + 1) (fun level ->

@@ -1,20 +1,36 @@
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* [socket] is an address string: a Unix-socket path, or host:port for
-   a TCP daemon / router. A 10 s connect bound keeps a partitioned TCP
-   peer from holding the client for the kernel's SYN-retry minutes. *)
-let connect socket = Transport.connect ~timeout:10. (Transport.parse socket)
-
-let request ~socket req =
-  match connect socket with
+(* The one-shot exchange every caller shares — the CLI client, the
+   admin plane, a daemon talking to its peers, the router's health
+   probes and peer lookups: bounded connect, optional send/receive
+   timeout, one frame each way, close. An OS error anywhere in it comes
+   back typed, labelled with [peer]. *)
+let exchange ?connect_timeout ?timeout ~peer addr request =
+  match Transport.connect ?timeout:connect_timeout addr with
   | Error _ as e -> e
   | Ok fd ->
     Fun.protect
       ~finally:(fun () -> close_noerr fd)
       (fun () ->
-        match Protocol.write_request ~peer:socket fd req with
+        match
+          Option.iter
+            (fun seconds ->
+              Unix.setsockopt_float fd Unix.SO_SNDTIMEO seconds;
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds)
+            timeout;
+          Protocol.write_request ~peer fd request
+        with
         | Error _ as e -> e
-        | Ok () -> Protocol.read_response ~peer:socket fd)
+        | Ok () -> Protocol.read_response ~peer fd
+        | exception Unix.Unix_error (err, _, _) ->
+          Error (Dse_error.Io_error { file = peer; message = Unix.error_message err }))
+
+(* [socket] is an address string: a Unix-socket path, or host:port for
+   a TCP daemon / router. A 10 s connect bound keeps a partitioned TCP
+   peer from holding the client for the kernel's SYN-retry minutes; the
+   reply may take as long as the job does. *)
+let request ~socket req =
+  exchange ~connect_timeout:10. ~peer:socket (Transport.parse socket) req
 
 (* Transient failures worth a retry: the daemon shedding load
    (Queue_full), a gateway with its whole ring briefly dark
@@ -66,8 +82,18 @@ let with_retry ~retries ~retry_base ~retry_cap f =
     go 0
   end
 
-let unexpected socket =
-  Error (Dse_error.Io_error { file = socket; message = "unexpected response kind from the server" })
+(* One request whose only good reply is the one [expect] picks out; a
+   relayed error comes back as itself, anything else as unexpected. *)
+let expecting ~socket req expect =
+  match request ~socket req with
+  | Error _ as e -> e
+  | Ok (Protocol.Server_error e) -> Error e
+  | Ok response -> (
+    match expect response with
+    | Some v -> Ok v
+    | None ->
+      let message = "unexpected response kind from the server" in
+      Error (Dse_error.Io_error { file = socket; message }))
 
 let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(method_ = Analytical.Arena)
     ?(approx = false) ?(domains = 1) ?deadline ?(retries = 0) ?(retry_base = 0.1)
@@ -80,45 +106,16 @@ let submit ~socket ?(percents = [ 5; 10; 15; 20 ]) ?k ?max_level ?(method_ = Ana
   in
   let method_ = if approx then Protocol.Approx else Protocol.Exact method_ in
   with_retry ~retries ~retry_base ~retry_cap (fun () ->
-      match
-        request ~socket
-          (Protocol.Submit
-             { name; trace = Protocol.Full trace; query; method_; domains; max_level; deadline })
-      with
-      | Error _ as e -> e
-      | Ok (Protocol.Result payload) -> Ok payload
-      | Ok (Protocol.Server_error e) -> Error e
-      | Ok
-          ( Protocol.Stats_reply _ | Protocol.Pong | Protocol.Health_reply _
-          | Protocol.Replicate_ack _ | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-        unexpected socket)
+      expecting ~socket
+        (Protocol.Submit
+           { name; trace = Protocol.Full trace; query; method_; domains; max_level; deadline })
+        (function Protocol.Result payload -> Some payload | _ -> None))
 
 let ping ~socket =
-  match request ~socket Protocol.Ping with
-  | Error _ as e -> e
-  | Ok Protocol.Pong -> Ok ()
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Stats_reply _ | Protocol.Health_reply _
-      | Protocol.Replicate_ack _ | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
+  expecting ~socket Protocol.Ping (function Protocol.Pong -> Some () | _ -> None)
 
 let server_stats ~socket =
-  match request ~socket Protocol.Server_stats with
-  | Error _ as e -> e
-  | Ok (Protocol.Stats_reply s) -> Ok s
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Pong | Protocol.Health_reply _ | Protocol.Replicate_ack _
-      | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
+  expecting ~socket Protocol.Server_stats (function Protocol.Stats_reply s -> Some s | _ -> None)
 
 let health ~socket =
-  match request ~socket Protocol.Health with
-  | Error _ as e -> e
-  | Ok (Protocol.Health_reply h) -> Ok h
-  | Ok (Protocol.Server_error e) -> Error e
-  | Ok
-      ( Protocol.Result _ | Protocol.Stats_reply _ | Protocol.Pong | Protocol.Replicate_ack _
-      | Protocol.Cache_reply _ | Protocol.Ring_reply _ ) ->
-    unexpected socket
+  expecting ~socket Protocol.Health (function Protocol.Health_reply h -> Some h | _ -> None)

@@ -10,7 +10,22 @@
     grammar: a Unix-socket path, or ["host:port"] for a TCP daemon or a
     [dse route] gateway — the wire protocol is identical. *)
 
-(** [request ~socket req] performs one request/response round trip. *)
+(** [exchange ?connect_timeout ?timeout ~peer addr req] is one
+    request/response round trip on a fresh connection: a connect
+    bounded by [connect_timeout] (TCP only, see {!Transport.connect}),
+    [timeout] seconds as the socket's send and receive timeouts (none:
+    wait as long as the peer takes), one frame each way, close. Every
+    failure is a typed error; [peer] labels it. *)
+val exchange :
+  ?connect_timeout:float ->
+  ?timeout:float ->
+  peer:string ->
+  Transport.addr ->
+  Protocol.request ->
+  (Protocol.response, Dse_error.t) result
+
+(** [request ~socket req] performs one request/response round trip
+    ({!exchange} with a 10 s connect bound and no receive timeout). *)
 val request : socket:string -> Protocol.request -> (Protocol.response, Dse_error.t) result
 
 (** [submit ~socket ?percents ?k ?max_level ?method_ ?domains ?deadline

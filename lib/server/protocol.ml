@@ -1,14 +1,15 @@
-(* Wire format, reusing the LEB128 + CRC-32 idiom of the v2 binary
-   trace framing (lib/trace/trace_io.ml):
+(* Wire format, built from the Codec primitives the binary trace file
+   and the WAL also use:
 
      "DSRV" | version (1 byte) | tag (1 byte) | payload length (LEB128)
             | payload | CRC-32 (4 bytes LE, over every preceding byte)
 
    All integer fields inside payloads are non-negative LEB128 varints;
-   strings are length-prefixed; trace records use the same
-   (addr lsl 2) lor kind_tag encoding as the binary trace format. Any
-   framing damage (bad magic, truncated varint, CRC mismatch, declared
-   lengths exceeding the payload) surfaces as a typed
+   strings are length-prefixed; trace records are Codec records, the
+   encoding of the binary trace format; cache keys and stats use the
+   WAL record's layouts. Any framing damage (bad magic, truncated
+   varint, CRC mismatch, declared lengths exceeding the payload)
+   surfaces as a typed
    [Dse_error.Corrupt_binary] with the byte offset, never a raw
    exception — a corrupt submission must be a structured reply to that
    one client, not a daemon crash. *)
@@ -59,10 +60,6 @@ let magic = "DSRV"
    sender's recovery is a Ring_status refetch. Health_reply grew
    ring_version, the draining flag, and the replica-GC drop counter. *)
 let version = 7
-
-(* Caps the payload a peer can make us allocate; a 10M-reference trace
-   encodes to ~50 MB, so this is generous without being unbounded. *)
-let max_payload = 256 * 1024 * 1024
 
 type query = Percents of int list | Budget of int
 
@@ -177,61 +174,29 @@ let submission_refs = function
   | Full trace -> Trace.length trace
   | Sketched profile -> profile.Sketch.n
 
-let kind_tag = function Trace.Fetch -> 0 | Trace.Read -> 1 | Trace.Write -> 2
-
 (* -- payload encoding -- *)
 
-let add_varint buf v =
-  if v < 0 then invalid_arg "Protocol: negative varint";
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7F in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
+let add_varint = Codec.add_varint
+
+let add_f64 = Codec.add_f64
 
 let add_string buf s =
   add_varint buf (String.length s);
   Buffer.add_string buf s
 
-let add_list buf xs =
+(* A count-prefixed sequence; [seq] below is its one decoder. *)
+let add_seq add buf xs =
   add_varint buf (List.length xs);
-  List.iter (add_varint buf) xs
+  List.iter (add buf) xs
+
+let add_list = add_seq add_varint
 
 let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-(* Deadlines are the only non-integral wire field; IEEE-754 bits, LE. *)
-let add_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-  done
-
-let add_i64 buf bits =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-  done
-
-(* Cache keys cross the wire for the replication verbs; the fingerprint
-   is raw 8-byte LE (it is a full 64-bit hash, varint would inflate it)
-   and max_level rides +1 so the "unbounded" sentinel (-1) stays a
-   non-negative varint — the same layout as the WAL record header. *)
-let add_cache_key buf (k : Result_cache.key) =
-  add_i64 buf k.Result_cache.fingerprint;
-  add_varint buf k.Result_cache.method_tag;
-  add_varint buf k.Result_cache.domains;
-  add_varint buf (k.Result_cache.max_level + 1)
 
 let add_ring_config buf { ring_version; nodes; replication } =
   add_varint buf ring_version;
   add_varint buf replication;
-  add_varint buf (List.length nodes);
-  List.iter (add_string buf) nodes
+  add_seq add_string buf nodes
 
 let encode_query buf = function
   | Percents ps ->
@@ -244,7 +209,8 @@ let encode_query buf = function
 let encode_trace buf trace =
   add_varint buf (Trace.length trace);
   Trace.iter
-    (fun (a : Trace.access) -> add_varint buf ((a.Trace.addr lsl 2) lor kind_tag a.Trace.kind))
+    (fun (a : Trace.access) ->
+      add_varint buf (Codec.record ~addr:a.Trace.addr ~kind:a.Trace.kind))
     trace
 
 let encode_request buf = function
@@ -275,12 +241,10 @@ let encode_request buf = function
   | Server_stats | Ping | Health | Ring_status -> ()
   | Replicate { ring_version; records } ->
     add_varint buf ring_version;
-    add_varint buf (List.length records);
-    List.iter (add_string buf) records
+    add_seq add_string buf records
   | Cache_query { ring_version; keys } ->
     add_varint buf ring_version;
-    add_varint buf (List.length keys);
-    List.iter (add_cache_key buf) keys
+    add_seq Codec.add_cache_key buf keys
   | Ring_update { config } -> add_ring_config buf config
   | Drain { config } -> add_ring_config buf config
 
@@ -348,37 +312,29 @@ let add_cell buf (c : Approx_dse.cell) =
   add_varint buf c.Approx_dse.assoc_lo;
   add_varint buf c.Approx_dse.assoc_hi
 
-let encode_stats buf (s : Stats.t) =
-  add_varint buf s.Stats.n;
-  add_varint buf s.Stats.n_unique;
-  add_varint buf s.Stats.address_bits;
-  add_varint buf s.Stats.max_misses
-
 let encode_outcome buf = function
   | Table (t : Analytical_dse.table) ->
     Buffer.add_char buf '\000';
     add_string buf t.Analytical_dse.name;
-    encode_stats buf t.Analytical_dse.stats;
+    Codec.add_stats buf t.Analytical_dse.stats;
     add_list buf t.Analytical_dse.percents;
     add_list buf t.Analytical_dse.budgets;
-    add_varint buf (List.length t.Analytical_dse.rows);
-    List.iter
-      (fun (depth, assocs) ->
+    add_seq
+      (fun buf (depth, assocs) ->
         add_varint buf depth;
         add_list buf assocs)
-      t.Analytical_dse.rows
+      buf t.Analytical_dse.rows
   | Optimal (r : Optimizer.t) ->
     Buffer.add_char buf '\001';
     add_varint buf r.Optimizer.k;
-    add_varint buf (Array.length r.Optimizer.levels);
-    Array.iter
-      (fun (l : Optimizer.level_result) ->
+    add_seq
+      (fun buf (l : Optimizer.level_result) ->
         add_varint buf l.Optimizer.level;
         add_varint buf l.Optimizer.depth;
         add_varint buf l.Optimizer.min_associativity;
         add_varint buf l.Optimizer.misses;
         add_varint buf l.Optimizer.zero_miss_associativity)
-      r.Optimizer.levels
+      buf (Array.to_list r.Optimizer.levels)
   | Approx_table (t : Approx_dse.table) ->
     Buffer.add_char buf '\002';
     add_string buf t.Approx_dse.name;
@@ -390,24 +346,21 @@ let encode_outcome buf = function
     add_varint buf t.Approx_dse.address_bits;
     add_list buf t.Approx_dse.percents;
     add_list buf t.Approx_dse.budgets;
-    add_varint buf (List.length t.Approx_dse.rows);
-    List.iter
-      (fun (depth, cells) ->
+    add_seq
+      (fun buf (depth, cells) ->
         add_varint buf depth;
-        add_varint buf (List.length cells);
-        List.iter (add_cell buf) cells)
-      t.Approx_dse.rows
+        add_seq add_cell buf cells)
+      buf t.Approx_dse.rows
   | Approx_optimal (r : Approx_dse.optimal) ->
     Buffer.add_char buf '\003';
     add_varint buf r.Approx_dse.k;
-    add_varint buf (List.length r.Approx_dse.levels);
-    List.iter
-      (fun (l : Approx_dse.level_estimate) ->
+    add_seq
+      (fun buf (l : Approx_dse.level_estimate) ->
         add_varint buf l.Approx_dse.level;
         add_varint buf l.Approx_dse.depth;
         add_cell buf l.Approx_dse.cell;
         add_bounds buf l.Approx_dse.misses)
-      r.Approx_dse.levels
+      buf r.Approx_dse.levels
 
 let encode_response buf = function
   | Result { outcome; cache_hit } ->
@@ -426,10 +379,8 @@ let encode_response buf = function
   | Pong -> ()
   | Replicate_ack { stored } -> add_varint buf stored
   | Cache_reply { keys; records } ->
-    add_varint buf (List.length keys);
-    List.iter (add_cache_key buf) keys;
-    add_varint buf (List.length records);
-    List.iter (add_string buf) records
+    add_seq Codec.add_cache_key buf keys;
+    add_seq add_string buf records
   | Ring_reply { config; draining; pushed } ->
     add_ring_config buf config;
     add_bool buf draining;
@@ -438,15 +389,14 @@ let encode_response buf = function
     add_string buf h.node_id;
     add_f64 buf h.start_epoch;
     add_f64 buf h.uptime;
-    add_varint buf (List.length h.workers);
-    List.iter
-      (fun w ->
+    add_seq
+      (fun buf w ->
         add_varint buf w.slot;
         add_bool buf w.busy;
         add_string buf w.job;
         add_f64 buf w.heartbeat_age;
         add_varint buf w.jobs_done)
-      h.workers;
+      buf h.workers;
     add_varint buf h.workers_replaced;
     add_varint buf h.queue_depth;
     add_varint buf h.queue_watermark;
@@ -473,94 +423,49 @@ let encode_response buf = function
 
 (* -- payload decoding -- *)
 
-(* Byte offset within the frame payload + what was wrong. *)
-exception Malformed of int * string
+(* Payload decoding reads a [Codec.cursor] over the frame payload, so
+   offsets in [Malformed] errors count from the payload's first byte. *)
+exception Malformed = Codec.Malformed
 
 (* The peer closed before sending a single byte — a liveness probe or
    an abandoned connect, not damage. *)
 exception Clean_close
 
-type cursor = { data : string; mutable pos : int }
+let byte = Codec.byte
 
-let remaining c = String.length c.data - c.pos
+let varint = Codec.varint
 
-let byte c =
-  if c.pos >= String.length c.data then raise (Malformed (c.pos, "unexpected end of payload"));
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let varint c =
-  let start = c.pos in
-  let rec loop shift acc =
-    if shift > 56 then raise (Malformed (start, "varint wider than 63 bits"))
-    else
-      let b = byte c in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise (Malformed (start, "varint overflows the address space"))
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
+let remaining = Codec.available
 
 let string_field c =
   let n = varint c in
-  if n > remaining c then raise (Malformed (c.pos, "declared string length exceeds the payload"));
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+  if n > remaining c then
+    raise (Malformed (Codec.offset c, "declared string length exceeds the payload"));
+  Codec.take c n
 
 let bool_field c =
   match byte c with
   | 0 -> false
   | 1 -> true
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "bad boolean byte %d" b))
+  | b -> raise (Malformed (Codec.offset c - 1, Printf.sprintf "bad boolean byte %d" b))
 
-let f64_field c =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte c)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
+let f64_field = Codec.f64
 
-let int_list c =
+(* Every element takes at least one byte, so a declared count beyond
+   the payload is damage, caught before anything is allocated. *)
+let seq what field c =
   let n = varint c in
-  (* each element is at least one byte *)
-  if n > remaining c then raise (Malformed (c.pos, "declared list length exceeds the payload"));
-  List.init n (fun _ -> varint c)
+  if n > remaining c then
+    raise
+      (Malformed (Codec.offset c, Printf.sprintf "declared %s count exceeds the payload" what));
+  List.init n (fun _ -> field c)
 
-let i64_field c =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte c)) (8 * i))
-  done;
-  !bits
-
-let cache_key_field c : Result_cache.key =
-  let fingerprint = i64_field c in
-  let method_tag = varint c in
-  let domains = varint c in
-  let max_level = varint c - 1 in
-  { Result_cache.fingerprint; method_tag; domains; max_level }
-
-let cache_key_list c =
-  let n = varint c in
-  (* each key is at least eleven bytes *)
-  if n > remaining c then raise (Malformed (c.pos, "declared key count exceeds the payload"));
-  List.init n (fun _ -> cache_key_field c)
-
-let string_list c =
-  let n = varint c in
-  if n > remaining c then raise (Malformed (c.pos, "declared record count exceeds the payload"));
-  List.init n (fun _ -> string_field c)
+let int_list = seq "list element" varint
 
 let ring_config_field c =
   let ring_version = varint c in
   let replication = varint c in
-  let n = varint c in
-  (* each node name is at least one byte of length prefix *)
-  if n > remaining c then raise (Malformed (c.pos, "declared node count exceeds the payload"));
-  let nodes = List.init n (fun _ -> string_field c) in
+  let nodes = seq "node" string_field c in
   { ring_version; nodes; replication }
 
 let method_field c =
@@ -569,13 +474,13 @@ let method_field c =
   | 2 -> Exact Analytical.Bcat_walk
   | 3 -> Exact Analytical.Arena
   | 4 -> Approx
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown method tag %d" b))
+  | b -> raise (Malformed (Codec.offset c - 1, Printf.sprintf "unknown method tag %d" b))
 
 let query_field c =
   match byte c with
   | 0 -> Percents (int_list c)
   | 1 -> Budget (varint c)
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown query tag %d" b))
+  | b -> raise (Malformed (Codec.offset c - 1, Printf.sprintf "unknown query tag %d" b))
 
 (* Admission control runs on the declared count alone — before the
    corruption check, before any allocation — so an oversized job is
@@ -608,30 +513,15 @@ let admit ?max_job_refs ?memory_budget ~method_ declared =
            budget })
   | _ -> ()
 
-let decode_record c =
-  let start = c.pos in
-  let record = varint c in
-  let kind =
-    match record land 3 with
-    | 0 -> Trace.Fetch
-    | 1 -> Trace.Read
-    | 2 -> Trace.Write
-    | _ -> raise (Malformed (start, "bad kind tag 3"))
-  in
-  (record lsr 2, kind)
-
 let trace_field ?max_job_refs ?memory_budget ~method_ c =
   let declared = varint c in
   admit ?max_job_refs ?memory_budget ~method_ declared;
   (* each record is at least one byte, so a declared count beyond the
      remaining payload is corruption — caught before allocation *)
   if declared > remaining c then
-    raise (Malformed (c.pos, "declared trace length exceeds the payload"));
+    raise (Malformed (Codec.offset c, "declared trace length exceeds the payload"));
   let trace = Trace.create ~capacity:(max 1 declared) () in
-  for _ = 1 to declared do
-    let addr, kind = decode_record c in
-    Trace.add trace ~addr ~kind
-  done;
+  Codec.read_trace c ~count:declared trace;
   trace
 
 (* The approx decode path: the same record stream, fed straight into
@@ -644,11 +534,11 @@ let sketch_field ?max_job_refs ?memory_budget ~method_ c =
   let declared = varint c in
   admit ?max_job_refs ?memory_budget ~method_ declared;
   if declared > remaining c then
-    raise (Malformed (c.pos, "declared trace length exceeds the payload"));
+    raise (Malformed (Codec.offset c, "declared trace length exceeds the payload"));
   let sketch = Sketch.create () in
   for _ = 1 to declared do
-    let addr, kind = decode_record c in
-    Sketch.add sketch ~addr ~kind
+    let r = Codec.read_record c in
+    Sketch.add sketch ~addr:(Codec.record_addr r) ~kind:(Codec.record_kind r)
   done;
   Sketch.finalize sketch
 
@@ -717,14 +607,7 @@ let decode_error c =
     let seen = varint c in
     let expected = varint c in
     Dse_error.Stale_ring { seen; expected }
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown error tag %d" b))
-
-let decode_stats c =
-  let n = varint c in
-  let n_unique = varint c in
-  let address_bits = varint c in
-  let max_misses = varint c in
-  { Stats.n; n_unique; address_bits; max_misses }
+  | b -> raise (Malformed (Codec.offset c - 1, Printf.sprintf "unknown error tag %d" b))
 
 let bounds_field c =
   let est = f64_field c in
@@ -742,34 +625,32 @@ let decode_outcome c =
   match byte c with
   | 0 ->
     let name = string_field c in
-    let stats = decode_stats c in
+    let stats = Codec.stats c in
     let percents = int_list c in
     let budgets = int_list c in
-    let row_count = varint c in
-    if row_count > remaining c then
-      raise (Malformed (c.pos, "declared row count exceeds the payload"));
     let rows =
-      List.init row_count (fun _ ->
+      seq "row"
+        (fun c ->
           let depth = varint c in
           let assocs = int_list c in
           (depth, assocs))
+        c
     in
     Table { Analytical_dse.name; stats; percents; budgets; rows }
   | 1 ->
     let k = varint c in
-    let level_count = varint c in
-    if level_count > remaining c then
-      raise (Malformed (c.pos, "declared level count exceeds the payload"));
     let levels =
-      Array.init level_count (fun _ ->
+      seq "level"
+        (fun c ->
           let level = varint c in
           let depth = varint c in
           let min_associativity = varint c in
           let misses = varint c in
           let zero_miss_associativity = varint c in
           { Optimizer.level; depth; min_associativity; misses; zero_miss_associativity })
+        c
     in
-    Optimal { Optimizer.k; levels }
+    Optimal { Optimizer.k; levels = Array.of_list levels }
   | 2 ->
     let name = string_field c in
     let n = varint c in
@@ -780,35 +661,30 @@ let decode_outcome c =
     let address_bits = varint c in
     let percents = int_list c in
     let budgets = int_list c in
-    let row_count = varint c in
-    if row_count > remaining c then
-      raise (Malformed (c.pos, "declared row count exceeds the payload"));
     let rows =
-      List.init row_count (fun _ ->
+      seq "row"
+        (fun c ->
           let depth = varint c in
-          let cell_count = varint c in
-          if cell_count > remaining c then
-            raise (Malformed (c.pos, "declared cell count exceeds the payload"));
-          (depth, List.init cell_count (fun _ -> cell_field c)))
+          (depth, seq "cell" cell_field c))
+        c
     in
     Approx_table
       { Approx_dse.name; n; distinct; max_misses; alpha; fit_r2; address_bits; percents;
         budgets; rows }
   | 3 ->
     let k = varint c in
-    let level_count = varint c in
-    if level_count > remaining c then
-      raise (Malformed (c.pos, "declared level count exceeds the payload"));
     let levels =
-      List.init level_count (fun _ ->
+      seq "level"
+        (fun c ->
           let level = varint c in
           let depth = varint c in
           let cell = cell_field c in
           let misses = bounds_field c in
           { Approx_dse.level; depth; cell; misses })
+        c
     in
     Approx_optimal { Approx_dse.k; levels }
-  | b -> raise (Malformed (c.pos - 1, Printf.sprintf "unknown outcome tag %d" b))
+  | b -> raise (Malformed (Codec.offset c - 1, Printf.sprintf "unknown outcome tag %d" b))
 
 let decode_server_stats c =
   let jobs_completed = varint c in
@@ -826,18 +702,16 @@ let decode_health c =
   let node_id = string_field c in
   let start_epoch = f64_field c in
   let uptime = f64_field c in
-  let worker_count = varint c in
-  (* each worker record is at least four bytes *)
-  if worker_count > remaining c then
-    raise (Malformed (c.pos, "declared worker count exceeds the payload"));
   let workers =
-    List.init worker_count (fun _ ->
+    seq "worker"
+      (fun c ->
         let slot = varint c in
         let busy = bool_field c in
         let job = string_field c in
         let heartbeat_age = f64_field c in
         let jobs_done = varint c in
         { slot; busy; job; heartbeat_age; jobs_done })
+      c
   in
   let workers_replaced = varint c in
   let queue_depth = varint c in
@@ -929,90 +803,19 @@ let tag_cache_reply = 0x87
 let tag_ring_reply = 0x88
 
 let send_frame fd ~tag payload =
-  let buf = Buffer.create (String.length payload + 16) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr tag);
-  add_varint buf (String.length payload);
-  Buffer.add_string buf payload;
-  let body = Buffer.contents buf in
-  let crc = Crc32.digest_string body in
-  let frame = Bytes.create (String.length body + 4) in
-  Bytes.blit_string body 0 frame 0 (String.length body);
-  for i = 0 to 3 do
-    Bytes.set frame (String.length body + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Transport.write_all fd frame
+  let header = Printf.sprintf "%s%c%c" magic (Char.chr version) (Char.chr tag) in
+  Transport.write_all fd (Bytes.unsafe_of_string (Codec.frame ~header payload))
 
-type wire_reader = { fd : Unix.file_descr; mutable pos : int; mutable crc : int }
-
-let reader_byte r =
-  let b = Bytes.create 1 in
-  match Transport.read_some r.fd b 0 1 with
-  | 0 -> if r.pos = 0 then raise Clean_close else raise (Malformed (r.pos, "unexpected end of stream"))
-  | _ ->
-    let v = Char.code (Bytes.get b 0) in
-    r.pos <- r.pos + 1;
-    r.crc <- Crc32.update_byte r.crc v;
-    v
-
-let reader_exact r n =
-  let b = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
-    match Transport.read_some r.fd b !off (n - !off) with
-    | 0 -> raise (Malformed (r.pos + !off, "unexpected end of stream"))
-    | k -> off := !off + k
-  done;
-  r.pos <- r.pos + n;
-  let s = Bytes.unsafe_to_string b in
-  r.crc <- Crc32.update_string r.crc s;
-  s
-
-let reader_varint r =
-  let start = r.pos in
-  let rec loop shift acc =
-    if shift > 56 then raise (Malformed (start, "varint wider than 63 bits"))
-    else
-      let b = reader_byte r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise (Malformed (start, "varint overflows the address space"))
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
-  in
-  loop 0 0
-
+(* The header is read a byte at a time (a window of 1) and the payload
+   and footer exactly, so a read never takes a byte of whatever follows
+   the frame on the socket. *)
 let read_frame fd =
-  let r = { fd; pos = 0; crc = Crc32.init } in
-  String.iter
-    (fun expected ->
-      let b = reader_byte r in
-      if Char.chr b <> expected then raise (Malformed (r.pos - 1, "bad magic")))
-    magic;
-  let v = reader_byte r in
-  if v <> version then
-    raise (Malformed (4, Printf.sprintf "unsupported protocol version %d" v));
-  let tag = reader_byte r in
-  let len = reader_varint r in
-  if len > max_payload then
-    raise (Malformed (r.pos, Printf.sprintf "payload of %d bytes exceeds the %d limit" len max_payload));
-  let payload = reader_exact r len in
-  let computed = Crc32.finalize r.crc in
-  (* the footer is over everything before it, so it is not folded in *)
-  let footer = Bytes.create 4 in
-  let off = ref 0 in
-  while !off < 4 do
-    match Transport.read_some r.fd footer !off (4 - !off) with
-    | 0 -> raise (Malformed (r.pos + !off, "truncated CRC footer"))
-    | k -> off := !off + k
-  done;
-  let stored = ref 0 in
-  for i = 0 to 3 do
-    stored := !stored lor (Char.code (Bytes.get footer i) lsl (8 * i))
-  done;
-  if !stored <> computed then
-    raise
-      (Malformed (r.pos, Printf.sprintf "CRC mismatch (stored %08x, computed %08x)" !stored computed));
+  let c = Codec.reader ~window:1 (Transport.read_some fd) in
+  if Codec.at_end c then raise Clean_close;
+  Codec.expect_magic c magic;
+  Codec.expect_version c ~what:"protocol" version;
+  let tag = byte c in
+  let payload = Codec.frame_payload c in
   (tag, payload)
 
 (* -- public API: every wire failure is a typed [Dse_error.t] -- *)
@@ -1031,9 +834,14 @@ let guard ~peer ?(timeout = "timed out") f =
   match f () with
   | v -> Ok v
   | exception Malformed (offset, message) -> Error (corrupt ~peer offset message)
+  | exception Codec.Truncated offset -> Error (corrupt ~peer offset "unexpected end of data")
   | exception Dse_error.Error e ->
     (* admission control rejecting a declared size mid-decode *)
     Error e
+  | exception Invalid_argument message ->
+    (* a value the format cannot carry, such as an address past
+       [Codec.max_addr]: refused before a byte is sent *)
+    Error (Dse_error.Constraint_violation { context = peer; message })
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     Error (Dse_error.Io_error { file = peer; message = timeout })
   | exception Unix.Unix_error (err, _, _) -> Error (io_failure ~peer err)
@@ -1082,7 +890,7 @@ let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_appro
       match read_frame fd with
       | exception Clean_close -> None
       | tag, payload ->
-        let c = { data = payload; pos = 0 } in
+        let c = Codec.of_string payload in
         let request =
           if tag = tag_submit then decode_submit ?max_job_refs ?memory_budget ?sketch_approx c
           else if tag = tag_server_stats then Server_stats
@@ -1090,18 +898,19 @@ let read_request ?(peer = "<client>") ?max_job_refs ?memory_budget ?sketch_appro
           else if tag = tag_health then Health
           else if tag = tag_replicate then begin
             let ring_version = varint c in
-            Replicate { ring_version; records = string_list c }
+            Replicate { ring_version; records = seq "record" string_field c }
           end
           else if tag = tag_cache_query then begin
             let ring_version = varint c in
-            Cache_query { ring_version; keys = cache_key_list c }
+            Cache_query { ring_version; keys = seq "key" Codec.cache_key c }
           end
           else if tag = tag_ring_status then Ring_status
           else if tag = tag_ring_update then Ring_update { config = ring_config_field c }
           else if tag = tag_drain then Drain { config = ring_config_field c }
           else raise (Malformed (5, Printf.sprintf "unknown request tag %d" tag))
         in
-        if remaining c > 0 then raise (Malformed (c.pos, "trailing bytes after the request"));
+        if remaining c > 0 then
+          raise (Malformed (Codec.offset c, "trailing bytes after the request"));
         Some request)
 
 let read_response ?(peer = "<server>") fd =
@@ -1118,7 +927,7 @@ let read_response ?(peer = "<server>") fd =
           Dse_error.fail
             (Dse_error.Io_error { file = peer; message = "connection closed without a response" })
       in
-      let c = { data = payload; pos = 0 } in
+      let c = Codec.of_string payload in
       let response =
         if tag = tag_result then begin
           let cache_hit = bool_field c in
@@ -1131,8 +940,8 @@ let read_response ?(peer = "<server>") fd =
         else if tag = tag_health_reply then Health_reply (decode_health c)
         else if tag = tag_replicate_ack then Replicate_ack { stored = varint c }
         else if tag = tag_cache_reply then begin
-          let keys = cache_key_list c in
-          let records = string_list c in
+          let keys = seq "key" Codec.cache_key c in
+          let records = seq "record" string_field c in
           Cache_reply { keys; records }
         end
         else if tag = tag_ring_reply then begin
@@ -1143,7 +952,8 @@ let read_response ?(peer = "<server>") fd =
         end
         else raise (Malformed (5, Printf.sprintf "unknown response tag %d" tag))
       in
-      if remaining c > 0 then raise (Malformed (c.pos, "trailing bytes after the response"));
+      if remaining c > 0 then
+        raise (Malformed (Codec.offset c, "trailing bytes after the response"));
       response)
 
 (* An exact entry answers any query straight from its histograms; an

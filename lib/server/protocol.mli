@@ -1,8 +1,8 @@
 (** The [dse serve] wire protocol.
 
     Length-prefixed binary frames over a Unix-domain socket or TCP
-    (see {!Transport}), reusing the LEB128 + CRC-32 framing idiom of
-    the v2 binary trace format:
+    (see {!Transport}), framed by {!Codec} like the v2 binary trace
+    format and the WAL record:
 
     {v "DSRV" | version | tag | payload length (LEB128) | payload | CRC-32 (LE) v}
 
@@ -214,12 +214,12 @@ val submission_fingerprint : submission -> int64
     stream length). *)
 val submission_refs : submission -> int
 
-(** Largest accepted frame payload, in bytes. *)
-val max_payload : int
-
 (** [write_request ?peer fd r] / [read_request ?peer fd]: one frame.
     [peer] labels errors (defaults: ["<server>"] when writing,
-    ["<client>"] when reading). *)
+    ["<client>"] when reading). A trace address the record encoding
+    cannot carry (above {!Codec.max_addr}) is a
+    {!Dse_error.Constraint_violation}, raised before anything is
+    written. *)
 val write_request : ?peer:string -> Unix.file_descr -> request -> (unit, Dse_error.t) result
 
 (** [Ok None] means the peer closed the connection without sending a

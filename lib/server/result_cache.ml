@@ -1,4 +1,9 @@
-type key = { fingerprint : int64; method_tag : int; domains : int; max_level : int }
+type key = Codec.cache_key = {
+  fingerprint : int64;
+  method_tag : int;
+  domains : int;
+  max_level : int;
+}
 
 type entry =
   | Exact of { stats : Stats.t; histograms : int array array }

@@ -21,7 +21,8 @@
     submissions reach {!store} at most once; a racing duplicate store
     would in any case overwrite with a bit-identical entry. *)
 
-type key = {
+(** The key, in the wire layout {!Codec.cache_key} gives it. *)
+type key = Codec.cache_key = {
   fingerprint : int64;  (** {!Trace.fingerprint} of the submitted trace *)
   method_tag : int;  (** {!Protocol.method_spec_tag}: the histogram kernel, or 4 = approx *)
   domains : int;  (** shard count the job ran with *)

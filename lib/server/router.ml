@@ -382,26 +382,19 @@ let adopt_if_newer t (config : Protocol.ring_config) =
        true
      end
 
+(* A one-shot control exchange with a backend — config refetch, peer
+   lookup, health probe. Each is cheap (no trace), so it rides the
+   health timeout, not the request timeout. *)
+let exchange ?connect_timeout t b request =
+  let connect_timeout = Option.value connect_timeout ~default:t.config.connect_timeout in
+  Client.exchange ~connect_timeout ~timeout:t.config.health_timeout ~peer:b.name b.addr request
+
 (* A peer answered Stale_ring: it knows a newer fleet view than ours.
    Pull its config and adopt — the one recovery the fence prescribes. *)
 let refetch_config t b =
-  match Transport.connect ~timeout:t.config.connect_timeout b.addr with
-  | Error _ -> ()
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        match
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-          Protocol.write_request ~peer:b.name fd Protocol.Ring_status
-        with
-        | Error _ -> ()
-        | Ok () -> (
-          match Protocol.read_response ~peer:b.name fd with
-          | Ok (Protocol.Ring_reply { config; _ }) -> ignore (adopt_if_newer t config)
-          | Ok _ | Error _ -> ())
-        | exception Unix.Unix_error _ -> ())
+  match exchange t b Protocol.Ring_status with
+  | Ok (Protocol.Ring_reply { config; _ }) -> ignore (adopt_if_newer t config)
+  | Ok _ | Error _ -> ()
 
 (* -- forwarding -- *)
 
@@ -425,25 +418,12 @@ type peek = {
    timeout, not the request timeout. *)
 let peer_lookup t b p =
   let exchange () =
-    match Transport.connect ~timeout:t.config.connect_timeout b.addr with
-    | Error _ -> `Miss
-    | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> close_noerr fd)
-        (fun () ->
-          match
-            Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-            Protocol.write_request ~peer:b.name fd
-              (Protocol.Cache_query { ring_version = ring_version t; keys = [ p.peek_key ] })
-          with
-          | Error _ -> `Miss
-          | Ok () -> (
-            match Protocol.read_response ~peer:b.name fd with
-            | Ok (Protocol.Cache_reply { records = [ record ]; _ }) -> `Hit record
-            | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) -> `Stale
-            | Ok _ | Error _ -> `Miss)
-          | exception Unix.Unix_error _ -> `Miss)
+    match
+      exchange t b (Protocol.Cache_query { ring_version = ring_version t; keys = [ p.peek_key ] })
+    with
+    | Ok (Protocol.Cache_reply { records = [ record ]; _ }) -> `Hit record
+    | Ok (Protocol.Server_error (Dse_error.Stale_ring _)) -> `Stale
+    | Ok _ | Error _ -> `Miss
   in
   let fetched =
     match exchange () with
@@ -773,52 +753,35 @@ let handle_client t fd =
 (* -- health polling, from the accept loop's select tick -- *)
 
 let probe_backend t b =
-  let finish fd outcome =
-    close_noerr fd;
-    match outcome with
-    | `Up (h : Protocol.health) ->
-      let now = Unix.gettimeofday () in
-      Mutex.lock b.mu;
-      let respawned =
-        b.start_epoch > 0.
-        && (h.Protocol.start_epoch -. b.start_epoch > 1e-6 || h.Protocol.node_id <> b.node_id)
-      in
-      b.node_id <- h.Protocol.node_id;
-      b.start_epoch <- h.Protocol.start_epoch;
-      b.last_seen <- now;
-      b.queue_depth <- h.Protocol.queue_depth;
-      b.worker_count <- List.length h.Protocol.workers;
-      (* a respawn is a different process: its predecessor's latency
-         samples would mis-size the adaptive hedge threshold until the
-         whole window refilled, so drop them with the breaker state *)
-      if respawned then b.lat_count <- 0;
-      Mutex.unlock b.mu;
-      if respawned then begin
-        t.log
-          (Printf.sprintf
-             "%s respawned (node %s, new epoch): breaker reset, hedge window cleared, cache \
-              presumed cold"
-             b.name h.Protocol.node_id);
-        Breaker.reset b.breaker
-      end;
-      Breaker.record_success b.breaker;
-      note_state t b
-    | `Down -> fail_breaker t b
-  in
-  match Transport.connect ~timeout:t.config.health_timeout b.addr with
-  | Error _ -> fail_breaker t b
-  | Ok fd -> (
-    match
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.health_timeout;
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.health_timeout;
-      Protocol.write_request ~peer:b.name fd Protocol.Health
-    with
-    | Error _ -> finish fd `Down
-    | Ok () -> (
-      match Protocol.read_response ~peer:b.name fd with
-      | Ok (Protocol.Health_reply h) -> finish fd (`Up h)
-      | Ok _ | Error _ -> finish fd `Down)
-    | exception Unix.Unix_error _ -> finish fd `Down)
+  match exchange ~connect_timeout:t.config.health_timeout t b Protocol.Health with
+  | Ok (Protocol.Health_reply h) ->
+    let now = Unix.gettimeofday () in
+    Mutex.lock b.mu;
+    let respawned =
+      b.start_epoch > 0.
+      && (h.Protocol.start_epoch -. b.start_epoch > 1e-6 || h.Protocol.node_id <> b.node_id)
+    in
+    b.node_id <- h.Protocol.node_id;
+    b.start_epoch <- h.Protocol.start_epoch;
+    b.last_seen <- now;
+    b.queue_depth <- h.Protocol.queue_depth;
+    b.worker_count <- List.length h.Protocol.workers;
+    (* a respawn is a different process: its predecessor's latency
+       samples would mis-size the adaptive hedge threshold until the
+       whole window refilled, so drop them with the breaker state *)
+    if respawned then b.lat_count <- 0;
+    Mutex.unlock b.mu;
+    if respawned then begin
+      t.log
+        (Printf.sprintf
+           "%s respawned (node %s, new epoch): breaker reset, hedge window cleared, cache \
+            presumed cold"
+           b.name h.Protocol.node_id);
+      Breaker.reset b.breaker
+    end;
+    Breaker.record_success b.breaker;
+    note_state t b
+  | Ok _ | Error _ -> fail_breaker t b
 
 (* One backend per slice so a poll's worst case (health_timeout on a
    dead node) stalls the accept loop briefly and rarely, instead of

@@ -384,18 +384,7 @@ let replicate t key entry =
    replication domain. Bounded everywhere (connect, send, receive): a
    wedged peer must not wedge the pusher. *)
 let peer_exchange ?(timeout = 10.0) target request =
-  let addr = Transport.parse target in
-  match Transport.connect ~timeout:2.0 addr with
-  | Error e -> Error e
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-        match Protocol.write_request ~peer:target fd request with
-        | Error _ as e -> e
-        | Ok () -> Protocol.read_response ~peer:target fd)
+  Client.exchange ~connect_timeout:2.0 ~timeout ~peer:target (Transport.parse target) request
 
 (* Wake the repl domain for a fresh digest exchange. The sentinel rides
    the push queue (the empty target is not a dialable address, so it

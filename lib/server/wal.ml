@@ -1,43 +1,20 @@
 (* Per-record framing (one frame per record so a torn write damages at
-   most that record):
+   most that record), written and checked by [Codec.frame]:
 
      "DSEW" | version (1 byte) | payload length (LEB128) | payload
             | CRC-32 (4 bytes LE, over every preceding record byte)
 
-   Payload layout: fingerprint (8 bytes LE) | method_tag | domains |
-   max_level + 1 | n | n_unique | address_bits | max_misses
-   | level count | per level: count | values...  (all LEB128 varints,
-   max_level shifted by one because -1 encodes "unbounded"). *)
+   Payload layout: the cache key ([Codec.add_cache_key], the layout the
+   protocol's replication verbs also use) | stats ([Codec.add_stats])
+   | level count | per level: count | values... (LEB128 varints). *)
 
 let magic = "DSEW"
 
 let version = 1
 
-(* Matches the protocol's frame cap: a record is one cached result, far
-   smaller than a submitted trace, so this is purely an allocation
-   guard against CRC-colliding garbage lengths. *)
-let max_payload = 256 * 1024 * 1024
-
 (* -- encoding -- *)
 
-let add_varint buf v =
-  if v < 0 then invalid_arg "Wal: negative varint";
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7F in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
-let add_fingerprint buf fp =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical fp (8 * i)) land 0xFF))
-  done
+let header = Printf.sprintf "%s%c" magic (Char.chr version)
 
 (* Approx entries are deliberately not persisted: the record format is
    the exact histogram summary, and an approx profile is cheap to
@@ -49,36 +26,17 @@ let encode_record (key : Result_cache.key) (entry : Result_cache.entry) =
   | Result_cache.Approx _ -> None
   | Result_cache.Exact { stats; histograms } ->
     let payload = Buffer.create 256 in
-    add_fingerprint payload key.Result_cache.fingerprint;
-    add_varint payload key.Result_cache.method_tag;
-    add_varint payload key.Result_cache.domains;
-    add_varint payload (key.Result_cache.max_level + 1);
-    add_varint payload stats.Stats.n;
-    add_varint payload stats.Stats.n_unique;
-    add_varint payload stats.Stats.address_bits;
-    add_varint payload stats.Stats.max_misses;
-    add_varint payload (Array.length histograms);
+    Codec.add_cache_key payload key;
+    Codec.add_stats payload stats;
+    Codec.add_varint payload (Array.length histograms);
     Array.iter
       (fun histogram ->
-        add_varint payload (Array.length histogram);
-        Array.iter (add_varint payload) histogram)
+        Codec.add_varint payload (Array.length histogram);
+        Array.iter (Codec.add_varint payload) histogram)
       histograms;
-    let payload = Buffer.contents payload in
-    let buf = Buffer.create (String.length payload + 16) in
-    Buffer.add_string buf magic;
-    Buffer.add_char buf (Char.chr version);
-    add_varint buf (String.length payload);
-    Buffer.add_string buf payload;
-    let body = Buffer.contents buf in
-    let crc = Crc32.digest_string body in
-    let record = Buffer.create (String.length body + 4) in
-    Buffer.add_string record body;
-    for i = 0 to 3 do
-      Buffer.add_char record (Char.chr ((crc lsr (8 * i)) land 0xFF))
-    done;
-    Some (Buffer.contents record)
+    Some (Codec.frame ~header (Buffer.contents payload))
 
-(* -- replay -- *)
+(* -- decoding -- *)
 
 (* Structural damage inside a record: skip it and resync on the next
    magic. *)
@@ -89,32 +47,64 @@ exception Bad
    magic follows. *)
 exception Short
 
-type cursor = { data : string; mutable pos : int }
+(* What the paper's characterisation guarantees of any exact entry a
+   kernel produced, checked before a CRC-valid record is believed:
 
-let cursor_byte c =
-  if c.pos >= String.length c.data then raise Short;
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
+   1. no level counts an occurrence with |C ∩ S| = 0 (index 0 is 0);
+   2. a level's counts sum to at most the warm occurrences, N − N′;
+   3. level 0 (one set: S holds everything) counts every warm
+      occurrence with a non-empty conflict set, which is exactly the
+      depth-1 direct-mapped non-cold misses, [max_misses];
+   4. S at level l+1 is a subset of S at level l, so |C ∩ S| never
+      grows with depth: misses at every associativity A, the tail
+      sum over c >= A, are non-increasing in l.
 
-let cursor_varint c =
-  let rec loop shift acc =
-    if shift > 56 then raise Bad
-    else
-      let b = cursor_byte c in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if acc < 0 then raise Bad
-      else if b land 0x80 = 0 then acc
-      else loop (shift + 7) acc
+   A record from a buggy peer or a stale encoder that breaks one of
+   them would otherwise be served as exact and replicated onwards. *)
+let consistent (stats : Stats.t) histograms =
+  let warm = stats.Stats.n - stats.Stats.n_unique in
+  (* check 2 before any tail sum, so the sums cannot overflow *)
+  let bounded h =
+    let sum = ref 0 in
+    Array.for_all
+      (fun v ->
+        let ok = v <= warm - !sum in
+        sum := !sum + v;
+        ok)
+      h
   in
-  loop 0 0
+  warm >= 0
+  && Array.for_all (fun h -> Array.length h = 0 || h.(0) = 0) histograms
+  && Array.for_all bounded histograms
+  && (Array.length histograms = 0
+     || Array.fold_left ( + ) 0 histograms.(0) = stats.Stats.max_misses)
+  &&
+  let tails = Array.map Optimizer.suffix_sums histograms in
+  let misses l a = if a < Array.length tails.(l) then tails.(l).(a) else 0 in
+  let rec monotone l =
+    l + 1 >= Array.length tails
+    || (let width = Array.length tails.(l + 1) in
+        let rec ok a = a >= width || (misses (l + 1) a <= misses l a && ok (a + 1)) in
+        ok 1 && monotone (l + 1))
+  in
+  monotone 0
 
-let cursor_fingerprint c =
-  let fp = ref 0L in
-  for i = 0 to 7 do
-    fp := Int64.logor !fp (Int64.shift_left (Int64.of_int (cursor_byte c)) (8 * i))
-  done;
-  !fp
+let decode_entry payload =
+  let c = Codec.of_string payload in
+  let key = Codec.cache_key c in
+  let stats = Codec.stats c in
+  let level_count = Codec.varint c in
+  (* each histogram contributes at least one byte, so a declared count
+     beyond the payload is damage the CRC happened to miss *)
+  if level_count > Codec.available c then raise Bad;
+  let histograms =
+    Array.init level_count (fun _ ->
+        let count = Codec.varint c in
+        if count > Codec.available c then raise Bad;
+        Array.init count (fun _ -> Codec.varint c))
+  in
+  if not (Codec.at_end c && consistent stats histograms) then raise Bad;
+  (key, Result_cache.Exact { stats; histograms })
 
 let find_magic data pos =
   let len = String.length data in
@@ -128,43 +118,18 @@ let find_magic data pos =
 (* Parse the record whose magic starts at [pos]; returns the decoded
    entry and the position just past its CRC footer. *)
 let parse_record data pos =
-  let c = { data; pos = pos + String.length magic } in
-  let v = cursor_byte c in
-  if v <> version then raise Bad;
-  let payload_len = cursor_varint c in
-  if payload_len > max_payload then raise Bad;
-  let payload_end = c.pos + payload_len in
-  if payload_end + 4 > String.length data then raise Short;
-  let stored_crc = ref 0 in
-  for i = 0 to 3 do
-    stored_crc := !stored_crc lor (Char.code data.[payload_end + i] lsl (8 * i))
-  done;
-  let computed = Crc32.digest_string (String.sub data pos (payload_end - pos)) in
-  if !stored_crc <> computed then raise Bad;
-  let fingerprint = cursor_fingerprint c in
-  let method_tag = cursor_varint c in
-  let domains = cursor_varint c in
-  let max_level = cursor_varint c - 1 in
-  let n = cursor_varint c in
-  let n_unique = cursor_varint c in
-  let address_bits = cursor_varint c in
-  let max_misses = cursor_varint c in
-  let level_count = cursor_varint c in
-  (* each histogram contributes at least one byte, so a declared count
-     beyond the payload is damage the CRC happened to miss *)
-  if level_count > payload_end - c.pos then raise Bad;
-  let histograms =
-    Array.init level_count (fun _ ->
-        let count = cursor_varint c in
-        if count > payload_end - c.pos then raise Bad;
-        Array.init count (fun _ -> cursor_varint c))
-  in
-  if c.pos <> payload_end then raise Bad;
-  let key = { Result_cache.fingerprint; method_tag; domains; max_level } in
-  let entry =
-    Result_cache.Exact { stats = { Stats.n; n_unique; address_bits; max_misses }; histograms }
-  in
-  ((key, entry), payload_end + 4)
+  let c = Codec.of_string ~pos data in
+  match
+    Codec.expect_magic c magic;
+    Codec.expect_version c ~what:"WAL" version;
+    Codec.frame_payload c
+  with
+  | payload -> (
+    match decode_entry payload with
+    | entry -> (entry, Codec.offset c)
+    | exception (Codec.Malformed _ | Codec.Truncated _) -> raise Bad)
+  | exception Codec.Truncated _ -> raise Short
+  | exception Codec.Malformed _ -> raise Bad
 
 type replay = {
   entries : (Result_cache.key * Result_cache.entry) list;

@@ -1,22 +1,21 @@
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), byte-at-a-time.
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
 
-    Seals the v2 binary trace format: the writer folds every emitted
-    byte into a running digest and appends it as a footer, so any
-    single-byte corruption or truncation of a trace file is detected
-    deterministically on load. The running state is an [int] holding a
+    Seals every binary format in the project (see {!Codec}): the writer
+    folds every byte before the footer into a running digest and appends
+    it, so any single-byte corruption or truncation is detected
+    deterministically on read. The running state is an [int] holding a
     32-bit value. *)
 
 (** Initial running state. *)
 val init : int
 
-(** [update_byte crc byte] folds in one byte (low 8 bits of [byte]). *)
-val update_byte : int -> int -> int
-
 (** [finalize crc] is the 32-bit digest of the bytes folded so far. *)
 val finalize : int -> int
 
-(** [update_string crc s] folds in a whole string (block form of
-    [update_byte], one table lookup per byte without a closure). *)
+(** [update_bytes crc b off len] folds in [len] bytes of [b] from [off]. *)
+val update_bytes : int -> Bytes.t -> int -> int -> int
+
+(** [update_string crc s] folds in a whole string. *)
 val update_string : int -> string -> int
 
 (** [digest_string s] is the digest of a whole string. *)

@@ -6,6 +6,8 @@ let () =
        [
          Test_bitset.suites;
          Test_trace.suites;
+         Test_codec.suites;
+         Test_golden.suites;
          Test_robustness.suites;
          Test_cachesim.suites;
          Test_core.suites;

@@ -394,6 +394,45 @@ let test_empty_trace () =
   check_bool "all depths direct-mapped" true
     (List.for_all (fun (_, a) -> a = 1) (Optimizer.optimal_pairs result))
 
+(* The one-pass postlude against the scan it replaced: for every budget
+   the first A whose tail sum meets it, and the first A with no miss at
+   all, found by brute force. The generator includes the shapes the
+   kernels never emit — empty, [|0|], trailing zero counts — beside
+   trimmed ones, where the zero-miss A must also equal the old
+   width-based answer. *)
+let gen_histogram =
+  let open QCheck2.Gen in
+  let counts = array_size (int_bound 12) (int_bound 40) in
+  oneof
+    [
+      pure [||];
+      pure [| 0 |];
+      map (fun h -> if Array.length h > 0 then h.(0) <- 0; h) counts;
+      map2 (fun h zeros -> Array.append h (Array.make zeros 0)) counts (int_range 1 4);
+    ]
+
+let prop_postlude_matches_scan =
+  prop "one-pass postlude = brute-force scan"
+    QCheck2.Gen.(pair (array_size (int_range 1 5) gen_histogram) (int_bound 120))
+    (fun (histograms, k) ->
+      let r = Optimizer.of_histograms ~k histograms in
+      let first_from pred =
+        let rec go a = if pred a then a else go (a + 1) in
+        go 1
+      in
+      Array.for_all
+        (fun (l : Optimizer.level_result) ->
+          let h = histograms.(l.Optimizer.level) in
+          let misses a = Optimizer.misses_of_histogram h ~associativity:a in
+          let a = first_from (fun a -> misses a <= k) in
+          let zero = first_from (fun a -> misses a = 0) in
+          let trimmed = Array.length h < 2 || h.(Array.length h - 1) > 0 in
+          l.Optimizer.min_associativity = a
+          && l.Optimizer.misses = misses a
+          && l.Optimizer.zero_miss_associativity = zero
+          && ((not trimmed) || zero = max 1 (Array.length h)))
+        r.Optimizer.levels)
+
 let suites =
   [
     ( "core:zero_one",
@@ -429,6 +468,7 @@ let suites =
         Alcotest.test_case "optimal pairs" `Quick test_optimal_pairs;
         Alcotest.test_case "fused kernels on paper example" `Quick test_fused_paper;
         prop_fused_equals_bcat_walk;
+        prop_postlude_matches_scan;
       ] );
     ( "core:exactness",
       [

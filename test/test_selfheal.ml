@@ -88,11 +88,15 @@ let test_kernels_honour_cancellation () =
 
 let key fp = { Result_cache.fingerprint = Int64.of_int fp; method_tag = 0; domains = 1; max_level = -1 }
 
+(* Distinct per seed and consistent the way a kernel's output is (the
+   WAL decoder refuses anything else): index 0 empty, each level within
+   the N - N' warm occurrences, level 0 summing to max_misses, and
+   misses non-increasing in depth. *)
 let entry seed =
   Result_cache.Exact
     {
-      stats = { Stats.n = 10 * seed; n_unique = seed; address_bits = 3; max_misses = 9 };
-      histograms = [| [| seed |]; [| seed; seed + 1 |] |];
+      stats = { Stats.n = 10 * seed; n_unique = seed; address_bits = 3; max_misses = seed + 1 };
+      histograms = [| [| 0; seed; 1 |]; [| 0; seed |] |];
     }
 
 let test_cache_lru_bound () =
@@ -220,6 +224,65 @@ let test_wal_compaction () =
       check_int "post-compaction append" 1 (Wal.appended_since_compact wal);
       check_int "two records" 2 (ok_or_fail (Wal.replay path)).Wal.intact);
   Sys.remove path
+
+(* -- exact records are validated where they enter -- *)
+
+let exact_of trace =
+  let prepared = Analytical.prepare trace in
+  Result_cache.Exact
+    { stats = Analytical.stats prepared; histograms = Analytical.histograms prepared }
+
+let admitted entry =
+  match Wal.encode_record (key 1) entry with
+  | None -> false
+  | Some record -> Wal.decode_record record = Some (key 1, entry)
+
+(* What the kernel emits must pass all four checks, or the WAL would
+   refuse a node's own results. *)
+let prop_kernel_output_admitted =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"arena output passes the record checks"
+       QCheck2.Gen.(array_size (int_range 0 300) (int_bound 200))
+       (fun addrs -> admitted (exact_of (Trace.of_addresses addrs))))
+
+let test_powerstone_output_admitted () =
+  List.iter
+    (fun (b : Workload.t) ->
+      let itrace, dtrace = Workload.traces b in
+      List.iter
+        (fun trace -> check_bool (b.Workload.name ^ " admitted") true (admitted (exact_of trace)))
+        [ itrace; dtrace ])
+    Registry.all
+
+(* Hand-built records, each CRC-valid and well-formed but breaking one
+   check: refused by the record decoder and skipped (counted as damage)
+   by replay, while a good neighbour survives. *)
+let test_inconsistent_records_refused () =
+  let stats = { Stats.n = 20; n_unique = 5; address_bits = 3; max_misses = 6 } in
+  let exact histograms stats = Result_cache.Exact { stats; histograms } in
+  let good = exact [| [| 0; 4; 2 |]; [| 0; 3; 1 |] |] stats in
+  check_bool "good record admitted" true (admitted good);
+  let bad =
+    [
+      ("index 0 counted", exact [| [| 1; 4; 2 |]; [| 0; 3; 1 |] |] stats);
+      ("more than N - N' warm occurrences", exact [| [| 0; 4; 2 |]; [| 0; 16 |] |] stats);
+      ("level 0 is not max_misses", exact [| [| 0; 4; 3 |]; [| 0; 3; 1 |] |] stats);
+      ("misses grow with depth", exact [| [| 0; 4; 2 |]; [| 0; 2; 3 |] |] stats);
+    ]
+  in
+  List.iter
+    (fun (label, entry) ->
+      check_bool (label ^ ": decode refuses") false (admitted entry);
+      let path = temp_wal () in
+      with_wal path (fun wal _ ->
+          ok_or_fail (Wal.append wal (key 1) entry);
+          ok_or_fail (Wal.append wal (key 2) good));
+      let r = ok_or_fail (Wal.replay path) in
+      check_int (label ^ ": replay keeps the good one") 1 r.Wal.intact;
+      check_bool (label ^ ": replay counts the bad one") true (r.Wal.damaged >= 1);
+      check_bool (label ^ ": only the good entry") true (r.Wal.entries = [ (key 2, good) ]);
+      Sys.remove path)
+    bad
 
 (* -- protocol edges: liveness probes and stalled peers -- *)
 
@@ -510,6 +573,9 @@ let suites =
         Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
         Alcotest.test_case "wal bit flip" `Quick test_wal_bitflip;
         Alcotest.test_case "wal compaction" `Quick test_wal_compaction;
+        prop_kernel_output_admitted;
+        Alcotest.test_case "powerstone output admitted" `Slow test_powerstone_output_admitted;
+        Alcotest.test_case "inconsistent records refused" `Quick test_inconsistent_records_refused;
         Alcotest.test_case "zero-byte close" `Quick test_zero_byte_close;
         Alcotest.test_case "receive timeout is typed" `Quick test_receive_timeout_typed;
       ] );

@@ -144,53 +144,54 @@ let test_response_roundtrip () =
   | _ -> Alcotest.fail "expected Stats_reply");
   check_bool "pong" true (roundtrip_response Protocol.Pong = Protocol.Pong)
 
-let expect_corrupt label = function
-  | Error (Dse_error.Corrupt_binary _) -> ()
-  | Error e -> Alcotest.failf "%s: wrong error class: %s" label (Dse_error.to_string e)
-  | Ok _ -> Alcotest.failf "%s: damage not detected" label
-
+(* Every strict prefix and every single-byte flip of a submission frame
+   must come back as a typed Corrupt_binary — the empty prefix as a
+   clean close — never as a decoded request or a raw exception. The
+   sweep covers truncation anywhere, bad magic, a bad version or tag, a
+   damaged length and a CRC mismatch. *)
 let test_protocol_damage () =
-  (* garbage bytes: bad magic *)
-  with_socketpair (fun a b ->
-      let garbage = Bytes.of_string "GARBAGEGARBAGE" in
-      ignore (Unix.write a garbage 0 (Bytes.length garbage));
-      Unix.close a;
-      expect_corrupt "garbage" (Protocol.read_request b));
-  (* a flipped payload byte: CRC mismatch *)
-  with_socketpair (fun a b ->
-      let read_end, write_end = Unix.pipe () in
-      ok_or_fail (Protocol.write_request write_end Protocol.Ping);
-      let frame = Bytes.create 64 in
-      let n = Unix.read read_end frame 0 64 in
-      Unix.close read_end;
-      Unix.close write_end;
-      (* flip a bit inside the header, after the magic *)
-      Bytes.set frame 5 (Char.chr (Char.code (Bytes.get frame 5) lxor 1));
-      ignore (Unix.write a frame 0 n);
-      Unix.close a;
-      expect_corrupt "bitflip" (Protocol.read_request b));
-  (* truncation mid-frame *)
-  with_socketpair (fun a b ->
-      let read_end, write_end = Unix.pipe () in
-      ok_or_fail
-        (Protocol.write_request write_end
-           (Protocol.Submit
-              {
-                name = "t";
-                trace = Protocol.Full (Trace.of_addresses [| 1; 2; 3; 4; 5 |]);
-                query = Protocol.Budget 1;
-                method_ = Protocol.Exact Analytical.Streaming;
-                domains = 1;
-                max_level = None;
-                deadline = None;
-              }));
-      let frame = Bytes.create 256 in
-      let n = Unix.read read_end frame 0 256 in
-      Unix.close read_end;
-      Unix.close write_end;
-      ignore (Unix.write a frame 0 (n - 6));
-      Unix.close a;
-      expect_corrupt "truncation" (Protocol.read_request b))
+  let frame =
+    let read_end, write_end = Unix.pipe () in
+    ok_or_fail
+      (Protocol.write_request write_end
+         (Protocol.Submit
+            {
+              name = "t";
+              trace = Protocol.Full (Trace.of_addresses [| 1; 2; 3; 4; 5; 1 lsl 40 |]);
+              query = Protocol.Percents [ 5; 10 ];
+              method_ = Protocol.Exact Analytical.Arena;
+              domains = 1;
+              max_level = Some 4;
+              deadline = Some 2.;
+            }));
+    let frame = Bytes.create 256 in
+    let n = Unix.read read_end frame 0 256 in
+    Unix.close read_end;
+    Unix.close write_end;
+    Bytes.sub_string frame 0 n
+  in
+  let decode bytes =
+    with_socketpair (fun a b ->
+        ignore (Unix.write_substring a bytes 0 (String.length bytes));
+        Unix.close a;
+        Protocol.read_request ~sketch_approx:true b)
+  in
+  let refused label bytes =
+    match decode bytes with
+    | Error (Dse_error.Corrupt_binary _) -> ()
+    | Ok None when bytes = "" -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" label
+    | Error e -> Alcotest.failf "%s: wrong error class: %s" label (Dse_error.to_string e)
+    | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e)
+  in
+  check_bool "intact frame decodes" true
+    (match decode frame with Ok (Some (Protocol.Submit _)) -> true | _ -> false);
+  String.iteri
+    (fun i ch ->
+      refused (Printf.sprintf "prefix of %d bytes" i) (String.sub frame 0 i);
+      refused (Printf.sprintf "flip at byte %d" i)
+        (String.mapi (fun j x -> if i = j then Char.chr (Char.code ch lxor 0xA5) else x) frame))
+    frame
 
 (* Method tag 1 named a retired kernel. A well-formed, correctly sealed
    frame that carries it must be refused as malformed, like any other
@@ -218,12 +219,11 @@ let test_retired_method_tag () =
   let method_at = 9 in
   check_int "streaming's tag sits at the method byte" 0 (Char.code (Bytes.get frame method_at));
   Bytes.set frame method_at '\001';
-  let crc = Crc32.digest_string (Bytes.sub_string frame 0 (n - 4)) in
-  for i = 0 to 3 do
-    Bytes.set frame (n - 4 + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
+  (* reseal: the same header and payload under a fresh footer *)
+  let header = Bytes.sub_string frame 0 6 in
+  let frame = Codec.frame ~header (Bytes.sub_string frame 7 (n - 11)) in
   with_socketpair (fun a b ->
-      ignore (Unix.write a frame 0 n);
+      ignore (Unix.write_substring a frame 0 (String.length frame));
       Unix.close a;
       match Protocol.read_request b with
       | Error (Dse_error.Corrupt_binary { offset; message; _ }) ->

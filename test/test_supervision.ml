@@ -426,42 +426,15 @@ let test_admission_prices_per_kernel () =
 (* A submission frame declaring [refs] references but carrying none of
    them: admission must judge the declared varint, not the bytes. *)
 let declared_refs_frame ~refs =
-  let varint buf v =
-    let v = ref v in
-    let continue = ref true in
-    while !continue do
-      let byte = !v land 0x7F in
-      v := !v lsr 7;
-      if !v = 0 then begin
-        Buffer.add_char buf (Char.chr byte);
-        continue := false
-      end
-      else Buffer.add_char buf (Char.chr (byte lor 0x80))
-    done
-  in
   let payload = Buffer.create 64 in
-  varint payload 4;
+  Codec.add_varint payload 4;
   Buffer.add_string payload "huge";
-  Buffer.add_char payload '\000' (* method: streaming *);
-  varint payload 1 (* domains *);
-  Buffer.add_char payload '\000' (* no max_level *);
-  Buffer.add_char payload '\000' (* no deadline *);
-  Buffer.add_char payload '\001' (* query: budget *);
-  varint payload 1;
-  varint payload refs (* declared trace length; no accesses follow *);
-  let payload = Buffer.contents payload in
-  let frame = Buffer.create 64 in
-  Buffer.add_string frame "DSRV";
-  Buffer.add_char frame (Char.chr Protocol.version);
-  Buffer.add_char frame '\001' (* tag: submit *);
-  varint frame (String.length payload);
-  Buffer.add_string frame payload;
-  let body = Buffer.contents frame in
-  let crc = Crc32.digest_string body in
-  for i = 0 to 3 do
-    Buffer.add_char frame (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Buffer.contents frame
+  Buffer.add_string payload "\000\001\000\000\001\001"
+  (* method streaming, 1 domain, no max_level, no deadline, budget 1 *);
+  Codec.add_varint payload refs (* declared trace length; no accesses follow *);
+  Codec.frame
+    ~header:(Printf.sprintf "DSRV%c\001" (Char.chr Protocol.version))
+    (Buffer.contents payload)
 
 let test_admission_runs_before_allocation () =
   (* 400M declared references estimate to ~20 GB; if the daemon tried
